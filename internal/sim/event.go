@@ -28,7 +28,7 @@
 // of worker count.
 //
 // Detection results are bit-identical to the full-evaluation oracle
-// (Machine.evalFaulty): a gate not on the queue has all inputs equal to
+// (Machine.eval): a gate not on the queue has all inputs equal to
 // their fault-free values and no active injection, hence a fault-free
 // output, by induction over the levelized evaluation order.
 package sim

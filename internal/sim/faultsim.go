@@ -67,7 +67,7 @@ const (
 	// effect is dead are skipped without evaluating any gate.
 	KernelEvent Kernel = iota
 	// KernelFull is the reference oracle: every gate of the circuit is
-	// evaluated every cycle (Machine.evalFaulty).
+	// evaluated every cycle (Machine.eval).
 	KernelFull
 )
 

@@ -34,11 +34,13 @@ func TestDifferentialOnSyntheticCircuits(t *testing.T) {
 			}
 			seq[i] = v
 		}
-		res := Run(c, seq, faults, Options{})
-		for fi, f := range faults {
-			want := refDetect(c, seq, f)
-			if got := res.DetectedAt[fi]; got != want {
-				t.Fatalf("seed %d fault %s: Run=%d ref=%d", seed, f.Name(c), got, want)
+		for _, opts := range []Options{{}, {Kernel: KernelFull}} {
+			res := Run(c, seq, faults, opts)
+			for fi, f := range faults {
+				want := refDetect(c, seq, f)
+				if got := res.DetectedAt[fi]; got != want {
+					t.Fatalf("seed %d kernel %d fault %s: Run=%d ref=%d", seed, opts.Kernel, f.Name(c), got, want)
+				}
 			}
 		}
 	}

@@ -83,12 +83,14 @@ func TestSimulatorPoolReuse(t *testing.T) {
 
 	// A pooled-machine Run must equal a fresh-machine Run.
 	seq := randSeq(60, c.NumInputs(), 9)
-	ref := Run(c, seq, faults, Options{})
-	got := s.Run(seq, faults, Options{})
-	for i := range faults {
-		if got.DetectedAt[i] != ref.DetectedAt[i] {
-			t.Fatalf("fault %d detected at %d after pool reuse, want %d",
-				i, got.DetectedAt[i], ref.DetectedAt[i])
+	for _, opts := range []Options{{}, {Kernel: KernelFull}} {
+		ref := Run(c, seq, faults, opts)
+		got := s.Run(seq, faults, opts)
+		for i := range faults {
+			if got.DetectedAt[i] != ref.DetectedAt[i] {
+				t.Fatalf("kernel %d: fault %d detected at %d after pool reuse, want %d",
+					opts.Kernel, i, got.DetectedAt[i], ref.DetectedAt[i])
+			}
 		}
 	}
 }
