@@ -43,7 +43,7 @@ func main() {
 		noBaseline = flag.Bool("no-baseline", false, "skip the conventional-scan baseline")
 		noCollapse = flag.Bool("no-collapse", false, "disable fault equivalence collapsing")
 		omitCap    = flag.Int("omit-cap", 0, "skip omission when the restored sequence exceeds this many vectors (0 = never; skips are warned)")
-		engine     = flag.String("compact-engine", "auto", "compaction trial engine: auto, incremental or scratch (output identical)")
+		engine     = flag.String("compact-engine", "auto", "restoration trial engine: auto, incremental or scratch (output identical)")
 		adiOrder   = flag.Bool("adi-order", false, "restore faults in increasing accidental-detection-index order (changes the output)")
 		chains     = flag.Int("chains", 1, "number of scan chains (generation flow)")
 		workers    = flag.Int("workers", 0, "fault-simulation worker count (0 = all cores; results are identical for every value)")

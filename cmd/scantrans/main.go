@@ -31,7 +31,7 @@ func main() {
 		printFinal = flag.Bool("print-compacted", false, "with -circuit: print the compacted sequence")
 		noCollapse = flag.Bool("no-collapse", false, "disable fault equivalence collapsing")
 		omitCap    = flag.Int("omit-cap", 0, "skip omission when the restored sequence exceeds this many vectors (0 = never; skips are warned)")
-		engine     = flag.String("compact-engine", "auto", "compaction trial engine: auto, incremental or scratch (output identical)")
+		engine     = flag.String("compact-engine", "auto", "restoration trial engine: auto, incremental or scratch (output identical)")
 		adiOrder   = flag.Bool("adi-order", false, "restore faults in increasing accidental-detection-index order (changes the output)")
 		verbose    = flag.Bool("v", false, "progress to stderr")
 	)

@@ -33,10 +33,11 @@ import (
 	"repro/internal/sim"
 )
 
-// Engine selects the trial-engine implementation behind both passes.
-// Every engine produces bit-identical compacted sequences (and the
-// semantic Stats fields BeforeLen/AfterLen/TargetFaults/ExtraDetected);
-// only the work performed differs, so Simulations and BatchSteps are
+// Engine selects the restoration trial engine. Omission has a single
+// trial engine and ignores it. Every engine produces bit-identical
+// compacted sequences (and the semantic Stats fields
+// BeforeLen/AfterLen/TargetFaults/ExtraDetected); only the work
+// performed differs, so restoration's Simulations and BatchSteps are
 // engine-specific accounting. The xcheck invariant "compact/engines"
 // pins the equivalence across the seeded catalog.
 type Engine uint8
@@ -44,18 +45,14 @@ type Engine uint8
 const (
 	// EngineAuto selects EngineIncremental.
 	EngineAuto Engine = iota
-	// EngineIncremental is the incremental, parallel trial engine:
-	// restoration verdicts are cached per trial version and coverage is
-	// refreshed by wide multi-batch lookahead runs that fan out across
-	// the simulator's workers; omission evaluates the independent
-	// per-batch trial jobs of a removal speculatively in parallel,
-	// charging only the deadline-order job prefix the serial engine
-	// would have run. Deterministic merges keep the output — and the
-	// Stats — identical at every worker count.
+	// EngineIncremental is the incremental restoration engine:
+	// verdicts are cached per trial version and coverage is refreshed
+	// by wide multi-batch lookahead runs that fan out across the
+	// simulator's workers. Deterministic merges keep the output — and
+	// the Stats — identical at every worker count.
 	EngineIncremental
-	// EngineScratch is the serial reference engine: one coverage check
-	// per uncovered restoration target, omission jobs evaluated
-	// earliest-deadline-first with an early exit on the first failure.
+	// EngineScratch is the serial reference restoration engine: one
+	// coverage check per uncovered restoration target.
 	EngineScratch
 )
 
@@ -142,9 +139,9 @@ type Options struct {
 	// without it. A private simulator built by the pass is observed
 	// too; a caller-supplied Sim keeps whatever observer it already has.
 	Obs obs.Observer
-	// Engine selects the trial engine (see Engine); the zero value is
-	// EngineAuto, i.e. the incremental engine. The compacted output is
-	// identical for every engine.
+	// Engine selects the restoration trial engine (see Engine); the
+	// zero value is EngineAuto, i.e. the incremental engine. Omission
+	// ignores it. The compacted output is identical for every engine.
 	Engine Engine
 	// Order selects the restoration target order (see Order). Unlike
 	// every other option, a non-default order changes the output.
@@ -489,7 +486,6 @@ func OmitOpts(c *netlist.Circuit, seq logic.Sequence, faults []fault.Fault, opts
 	}()
 	o := newOmitter(s, seq, faults)
 	defer o.close()
-	o.parallel = opts.Engine.incremental()
 	o.cTrials = obs.C(ob, "omit.trials")
 	o.cRemoved = obs.C(ob, "omit.removed_vectors")
 	o.cReconv = obs.C(ob, "omit.reconv_cutoffs")
@@ -517,11 +513,10 @@ func OmitOpts(c *netlist.Circuit, seq logic.Sequence, faults []fault.Fault, opts
 				}
 			}
 		case corruptCheckpointError(err):
-			// Damaged checkpoint: demote to the scratch engine and redo
-			// the whole pass (see the restore path above).
+			// Damaged checkpoint: redo the whole pass (see the restore
+			// path above).
 			obs.C(ob, "omit.ckpt_degraded").Inc()
 			obs.Emit(ob, "omit", "checkpoint_degraded", obs.F("error", err.Error()))
-			o.parallel = false
 		default:
 			ctl.Fail()
 			st.Status, st.Err = runctl.Failed, err

@@ -64,12 +64,13 @@ func BenchmarkCompaction(b *testing.B) {
 	})
 }
 
-// BenchmarkCompactionEngines compares the incremental trial engine
-// against the serial scratch reference on the full pipeline, across
-// worker counts. Both produce bit-identical output; the metrics expose
-// where the incremental engine's time goes: trial throughput, the
-// fault-free trace prefix reuse in the shared simulator, and the
-// omission engine's reconvergence cutoffs and window-memo hits.
+// BenchmarkCompactionEngines compares the incremental restoration
+// engine against the serial scratch reference on the full pipeline,
+// across worker counts; omission runs its one engine in both. Both
+// produce bit-identical output; the metrics expose where the time goes:
+// trial throughput, the fault-free trace prefix reuse in the shared
+// simulator, and the omission engine's reconvergence cutoffs and
+// window-memo hits.
 func BenchmarkCompactionEngines(b *testing.B) {
 	c, err := circuits.Load("s298")
 	if err != nil {

@@ -7,6 +7,7 @@ import (
 	"repro/internal/circuits"
 	"repro/internal/fault"
 	"repro/internal/logic"
+	"repro/internal/obs"
 	"repro/internal/scan"
 	"repro/internal/seqatpg"
 	"repro/internal/sim"
@@ -152,9 +153,10 @@ func TestEngineOutputsIdentical(t *testing.T) {
 	}
 }
 
-// TestCompactionWorkerDeterminism: the compacted sequence and the work
-// accounting must be identical for one worker and many — parallelism
-// only changes wall-clock time.
+// TestCompactionWorkerDeterminism: the compacted sequence, the work
+// accounting and the omission engine's memo and reconvergence counters
+// must be identical for one worker and many — parallelism only changes
+// wall-clock time.
 func TestCompactionWorkerDeterminism(t *testing.T) {
 	c, err := circuits.Load("s298")
 	if err != nil {
@@ -175,8 +177,9 @@ func TestCompactionWorkerDeterminism(t *testing.T) {
 		seq[i] = v
 	}
 
-	r1, o1, rst1, ost1 := RestoreThenOmitOpts(sc.Scan, seq, faults, Options{Workers: 1})
-	rN, oN, rstN, ostN := RestoreThenOmitOpts(sc.Scan, seq, faults, Options{Workers: 8})
+	reg1, regN := obs.NewRegistry(), obs.NewRegistry()
+	r1, o1, rst1, ost1 := RestoreThenOmitOpts(sc.Scan, seq, faults, Options{Workers: 1, Obs: reg1})
+	rN, oN, rstN, ostN := RestoreThenOmitOpts(sc.Scan, seq, faults, Options{Workers: 8, Obs: regN})
 	if hashSeq(r1) != hashSeq(rN) || len(r1) != len(rN) {
 		t.Errorf("restored sequences differ: workers=1 len %d, workers=8 len %d", len(r1), len(rN))
 	}
@@ -188,6 +191,11 @@ func TestCompactionWorkerDeterminism(t *testing.T) {
 	}
 	if ost1 != ostN {
 		t.Errorf("omit stats differ: %+v vs %+v", ost1, ostN)
+	}
+	for _, name := range []string{"omit.window_memo_hits", "omit.reconv_cutoffs"} {
+		if a, b := reg1.Snapshot().Counters[name], regN.Snapshot().Counters[name]; a != b {
+			t.Errorf("%s differs: workers=1 %d, workers=8 %d", name, a, b)
+		}
 	}
 
 	// An externally supplied shared simulator must behave identically.

@@ -56,9 +56,9 @@ func omitCkptStride(nVec, nBatches, nFF int) int {
 //     with the committed trajectory — on scan sequences that is about
 //     one scan operation, not the remaining tail;
 //   - a trial only simulates the fault batches whose detections are at
-//     stake, each bounded just past its latest previous detection; the
-//     incremental engine runs those independent jobs speculatively in
-//     parallel with deterministic accounting (see tryRemove).
+//     stake, each bounded just past its latest previous detection, one
+//     job per batch, earliest deadline first with an early exit on the
+//     first failure (see tryRemove).
 type omitter struct {
 	c      *netlist.Circuit
 	sim    *sim.Simulator
@@ -77,23 +77,15 @@ type omitter struct {
 
 	stride  int // spacing of per-batch prefix checkpoints
 	batches []*omitBatch
-	scratch *sim.Machine // reused for batch replay on the serial engine
+	scratch *sim.Machine // replays every trial job
 	sims    int
 	steps   int64 // batch-vector simulation steps (see Stats.BatchSteps)
-
-	// parallel selects speculative concurrent trial jobs
-	// (EngineIncremental); the serial engine evaluates jobs
-	// earliest-deadline-first with an early exit instead. Both charge
-	// the same jobs to Stats (see tryRemove), so the accounting is
-	// identical across engines and worker counts.
-	parallel bool
 
 	// Window-boundary prefix memo: winStates[bi] (when winHave[bi])
 	// holds batch bi's faulty state just before cur[winLo]. Valid for
 	// the whole window because commits only remove positions >= winLo.
 	// Entries are written by the batch's first job of the window and
-	// only read afterwards; distinct batches touch distinct entries, so
-	// concurrent wave jobs need no lock.
+	// only read afterwards.
 	winLo     int
 	winStates []sim.State
 	winHave   []bool
@@ -320,8 +312,7 @@ func (o *omitter) newTrialGood(lo, removed int) *trialGood {
 }
 
 // ensure produces trial rows for every position below bound (exclusive)
-// unless reconvergence makes them unnecessary first. Must not be called
-// concurrently; parallel waves pre-ensure their bound before launching.
+// unless reconvergence makes them unnecessary first.
 func (tg *trialGood) ensure(bound int) {
 	o := tg.o
 	limit := len(o.cur) - tg.removed
@@ -380,9 +371,8 @@ type omitHit struct{ fi, t int }
 // every at-stake fault is re-detected within the job's bound. The
 // prefix below the removal point is restored from the window memo (or
 // the nearest stride checkpoint, memoizing the window boundary on the
-// way); the monitored suffix reads trial rows that ensure already
-// produced, so concurrent jobs only share read-only data plus their own
-// winStates/winHave entries.
+// way); the monitored suffix reads the trial's fault-free rows, which
+// tg produces on demand.
 func (o *omitter) runJob(m *sim.Machine, jb *omitJob, lo, removed int, tg *trialGood) {
 	b := jb.b
 	bi := b.start / sim.Slots
@@ -510,97 +500,16 @@ func (o *omitter) tryRemove(lo, hi, slack int) bool {
 		jobs[i].bound = bound
 	}
 	tg := o.newTrialGood(lo, removed)
-
-	nw := o.sim.Workers()
-	if !o.parallel || nw <= 1 || len(jobs) == 1 {
-		// Serial earliest-deadline evaluation with early exit. The
-		// speculative branch below charges exactly this job prefix to
-		// Stats, so a single-worker incremental run takes this path with
-		// identical accounting.
-		var hits []omitHit
-		for i := range jobs {
-			jb := &jobs[i]
-			o.runJob(o.scratch, jb, lo, removed, tg)
-			o.sims++
-			o.steps += jb.steps
-			if !jb.ok {
-				return false
-			}
-			hits = append(hits, jb.hits...)
-		}
-		o.commitHits(lo, hi, hits, tg)
-		return true
-	}
-
-	// Speculative parallel evaluation: workers pull jobs in
-	// earliest-deadline order, and once some job has failed, jobs after
-	// it in that order are skipped. Only the deadline-order prefix up to
-	// and including the first failure is charged to Stats — exactly the
-	// set the serial loop above evaluates — so Simulations/BatchSteps
-	// are identical at every worker count and across engines. A
-	// speculative job that ran beyond that prefix costs only
-	// otherwise-idle cores; its one side effect, a freshly populated
-	// window memo, is rolled back below so later trials replay exactly
-	// what the serial engine would have.
-	tg.ensure(maxBound)
-	if nw > len(jobs) {
-		nw = len(jobs)
-	}
-	var next, minFailed atomic.Int64
-	minFailed.Store(int64(len(jobs)))
-	ran := make([]bool, len(jobs))
-	memoed := make([]bool, len(jobs))
-	var wg sync.WaitGroup
-	for w := 0; w < nw; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			m := o.sim.Acquire()
-			defer o.sim.Release(m)
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(jobs) {
-					return
-				}
-				if int64(i) > minFailed.Load() {
-					continue // an earlier-deadline job already failed
-				}
-				jb := &jobs[i]
-				bi := jb.b.start / sim.Slots
-				hadMemo := o.winHave[bi]
-				o.runJob(m, jb, lo, removed, tg)
-				ran[i] = true
-				memoed[i] = !hadMemo
-				if !jb.ok {
-					for {
-						cur := minFailed.Load()
-						if int64(i) >= cur || minFailed.CompareAndSwap(cur, int64(i)) {
-							break
-						}
-					}
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	fail := int(minFailed.Load())
 	var hits []omitHit
 	for i := range jobs {
-		if i > fail {
-			// Speculative overshoot: uncharged, and any window memo it
-			// populated is invalidated to keep later trials' replay
-			// costs deterministic.
-			if ran[i] && memoed[i] {
-				o.winHave[jobs[i].b.start/sim.Slots] = false
-			}
-			continue
-		}
+		jb := &jobs[i]
+		o.runJob(o.scratch, jb, lo, removed, tg)
 		o.sims++
-		o.steps += jobs[i].steps
-		hits = append(hits, jobs[i].hits...)
-	}
-	if fail < len(jobs) {
-		return false
+		o.steps += jb.steps
+		if !jb.ok {
+			return false
+		}
+		hits = append(hits, jb.hits...)
 	}
 	o.commitHits(lo, hi, hits, tg)
 	return true

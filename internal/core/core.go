@@ -53,9 +53,9 @@ type Config struct {
 	// hatch. A skip is never silent: it emits a "flow"/"omit_skipped"
 	// event and a warning on Warn.
 	OmitLenCap int
-	// Engine selects the compaction trial engine (see compact.Engine);
-	// the zero value is the incremental engine. Results are identical
-	// for every engine.
+	// Engine selects the restoration trial engine (see
+	// compact.Engine); the zero value is the incremental engine.
+	// Results are identical for every engine.
 	Engine compact.Engine
 	// Order selects the restoration target order (see compact.Order).
 	// Unlike Engine, a non-default order changes the compacted output.

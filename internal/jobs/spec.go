@@ -62,7 +62,7 @@ type Spec struct {
 	// Workers is the per-task fault-simulation worker count
 	// (0 = GOMAXPROCS). Results are identical for every value.
 	Workers int `json:"workers,omitempty"`
-	// Engine selects the compaction trial engine: "", "auto",
+	// Engine selects the restoration trial engine: "", "auto",
 	// "incremental" or "scratch" (output identical).
 	Engine string `json:"engine,omitempty"`
 	// AdiOrder restores faults in increasing accidental-detection-index

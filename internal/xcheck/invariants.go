@@ -202,11 +202,13 @@ func semantics(st compact.Stats) [4]int {
 	return [4]int{st.BeforeLen, st.AfterLen, st.TargetFaults, st.ExtraDetected}
 }
 
-// checkEngineEquivalence: the incremental trial engine produces
-// sequences bit-identical to the serial scratch engine — for both
-// compaction passes, at every worker count, in both restoration orders
-// — along with identical semantic stats, and an incremental run
-// interrupted at an arbitrary poll boundary resumes to the same output.
+// checkEngineEquivalence: the incremental restoration engine produces
+// sequences bit-identical to the serial scratch engine, at every worker
+// count and in both restoration orders, along with identical semantic
+// stats, and an incremental run interrupted at an arbitrary poll
+// boundary resumes to the same output. Engine selects restoration
+// behaviour only; omission has one trial engine, so its legs check the
+// same output at every worker count and across an interrupt/resume.
 func checkEngineEquivalence(w *Workload) string {
 	type result struct {
 		seq logic.Sequence

@@ -183,18 +183,20 @@ func ConventionalCycles(tests []ScanTest, nsv int) int {
 
 // CompactOptions tunes the compaction entry points Restore, Omit and
 // Compact. The zero value selects defaults (all cores, incremental
-// engine, detection order, no budget, no observation). Fields:
+// restoration engine, detection order, no budget, no observation).
+// Fields:
 //
 //   - Workers / Sim: fault-simulation parallelism, or a caller-owned
 //     Simulator whose machine pool is shared across passes.
 //   - Control: budget/cancellation and checkpoint/resume — the former
 //     *WithControl variants folded into the options struct.
 //   - Obs: the flight-recorder Observer for the pass.
-//   - Engine: the trial engine (output identical for every engine).
+//   - Engine: the restoration trial engine (output identical for every
+//     engine; omission has one engine and ignores it).
 //   - Order: the restoration target order (OrderADI changes output).
 type CompactOptions = compact.Options
 
-// CompactEngine selects the compaction trial engine.
+// CompactEngine selects the restoration trial engine.
 type CompactEngine = compact.Engine
 
 // CompactOrder selects the restoration target order.
