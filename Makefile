@@ -52,7 +52,7 @@ fuzz:
 
 # metrics-check exercises the -metrics flight recorder end to end: a
 # tiny s27 generation+compaction run writes a JSONL file, and
-# cmd/metricscheck validates it against the schema (ALGORITHMS.md §11).
+# cmd/metricscheck validates it against the schema (docs/ALGORITHMS.md §11).
 metrics-check:
 	tmp=$$(mktemp /tmp/metrics.XXXXXX.jsonl); \
 	trap 'rm -f $$tmp' EXIT; \
@@ -63,12 +63,12 @@ metrics-check:
 # an ephemeral port, run jobs through the HTTP API with scanctl,
 # validate the streamed events with metricscheck, compare a sharded
 # simulate job byte-for-byte against an unsharded one, and require a
-# clean SIGTERM drain (README "Serving jobs", ALGORITHMS.md §15).
+# clean SIGTERM drain (README "Serving jobs", docs/ALGORITHMS.md §15).
 scand-smoke:
 	GO="$(GO)" sh scripts/scand_smoke.sh
 
 # xcheck runs the differential/metamorphic cross-check harness
-# (ALGORITHMS.md §12) on fixed seeds across every catalog circuit plus
+# (docs/ALGORITHMS.md §12) on fixed seeds across every catalog circuit plus
 # a seeded synthetic one, under the race detector. A violation prints a
 # minimized reproduction and fails the target. Override the seed count
 # with XCHECK_SEEDS=5 for a longer local hunt.
@@ -77,7 +77,7 @@ XCHECK_SEEDS ?= 1
 xcheck:
 	$(GO) run -race ./cmd/xcheck -circuits all -seeds $(XCHECK_SEEDS) -start-seed 1
 
-# soak runs the crash/resume soak harness (ALGORITHMS.md §14) under
+# soak runs the crash/resume soak harness (docs/ALGORITHMS.md §14) under
 # the race detector: every iteration kills a flow child at a random
 # checkpoint-store or metrics-append failpoint, resumes it, and asserts
 # the final output is bit-identical to an uninterrupted run. Override
@@ -88,4 +88,4 @@ soak:
 	$(GO) run -race ./cmd/crashsoak -iters $(SOAK_ITERS) -seed 1
 
 clean:
-	rm -f BENCH_sim.json BENCH_compact.json
+	rm -f BENCH_sim.json BENCH_compact.json BENCH_jobs.json

@@ -1,5 +1,5 @@
 // Command crashsoak is the crash/resume soak harness behind `make
-// soak` (ALGORITHMS.md §14). Each iteration picks a flow (generation,
+// soak` (docs/ALGORITHMS.md §14). Each iteration picks a flow (generation,
 // restoration or omission), then repeatedly runs it as a child process
 // with a deterministic kill failpoint armed somewhere in the
 // checkpoint-store or metrics-append path. A killed child (exit 137)

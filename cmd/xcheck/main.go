@@ -3,7 +3,7 @@
 // the event-driven kernel, the full-sweep kernel, the pooled Simulator
 // at several worker counts and a naive scalar reference simulator
 // against each other, and checks the compaction, checkpoint/resume and
-// translation invariants listed in ALGORITHMS.md §12.
+// translation invariants listed in docs/ALGORITHMS.md §12.
 //
 // Usage:
 //

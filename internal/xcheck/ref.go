@@ -6,7 +6,7 @@
 // any violation to a minimized reproduction.
 //
 // The package is a correctness tool, not a benchmark: everything in it
-// favors obviousness over speed. See ALGORITHMS.md §12 for the list of
+// favors obviousness over speed. See docs/ALGORITHMS.md §12 for the list of
 // invariants and cmd/xcheck for the command-line driver.
 package xcheck
 
