@@ -299,6 +299,59 @@ d = XOR(en, q)
 	}
 }
 
+// TestLoadSlot: LoadSlot sets the destination slot of every flip-flop
+// to the source slot of the snapshot and leaves the other 63 slots
+// bit-identical.
+func TestLoadSlot(t *testing.T) {
+	c, err := circuits.Load("s298")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := logic.NewRandFiller(5)
+	randomState := func() *Machine {
+		m := New(c)
+		vecs := make([]logic.Vector, Slots)
+		for step := 0; step < 6; step++ {
+			for k := range vecs {
+				vecs[k] = logic.NewVector(c.NumInputs())
+				for j := range vecs[k] {
+					vecs[k][j] = logic.Value(rng.Intn(3))
+				}
+			}
+			m.StepMulti(vecs)
+		}
+		return m
+	}
+	m := randomState()
+	snap := randomState().SaveState()
+	for _, tc := range []struct{ dst, src int }{{0, 63}, {63, 0}, {17, 17}, {40, 3}} {
+		before := m.SaveState()
+		m.LoadSlot(tc.dst, &snap, tc.src)
+		changed := false
+		for fi := range c.FFs {
+			for slot := 0; slot < Slots; slot++ {
+				from, bit := before, uint(slot)
+				if slot == tc.dst {
+					from, bit = snap, uint(tc.src)
+				}
+				wz, wo := from.sz[fi]>>bit&1, from.so[fi]>>bit&1
+				gz, gdo := m.sz[fi]>>uint(slot)&1, m.so[fi]>>uint(slot)&1
+				if gz != wz || gdo != wo {
+					t.Fatalf("LoadSlot(%d, src %d): flip-flop %d slot %d = (%d,%d), want (%d,%d)",
+						tc.dst, tc.src, fi, slot, gz, gdo, wz, wo)
+				}
+			}
+			d := uint64(1) << uint(tc.dst)
+			if (m.sz[fi]^before.sz[fi])&d != 0 || (m.so[fi]^before.so[fi])&d != 0 {
+				changed = true
+			}
+		}
+		if !changed {
+			t.Errorf("LoadSlot(%d, src %d) changed nothing; the fixture states coincide", tc.dst, tc.src)
+		}
+	}
+}
+
 func TestDetectMask(t *testing.T) {
 	g0z, g0o := broadcast(logic.Zero)
 	if DetectMask(g0z, g0o, 0, AllSlots) != AllSlots {
