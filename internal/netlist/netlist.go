@@ -128,6 +128,9 @@ type Circuit struct {
 	// Level[g] is the logic level of gate g: 1 + max level of its
 	// gate-driven inputs (inputs and flip-flop outputs are level 0).
 	Level []int32
+	// Sweep is a second evaluation order that groups gates of one type
+	// into runs; see Sweep.
+	Sweep Sweep
 
 	byName map[string]SignalID
 	// fanout[s] lists the reader pins of signal s.
@@ -359,6 +362,7 @@ func (b *Builder) Build() (*Circuit, error) {
 	}
 	c.buildFanout()
 	c.buildFanoutGates()
+	c.buildSweep()
 	c.coneCache = make([][]uint64, len(c.Signals))
 	return c, nil
 }
