@@ -1,6 +1,7 @@
 package jobs
 
 import (
+	"sync"
 	"testing"
 	"time"
 
@@ -209,8 +210,11 @@ func TestQueueRemoveUnderLoad(t *testing.T) {
 		q.push(drop.tasks[i])
 	}
 	claimed := make(chan *task, 2*perJob)
+	var consumers sync.WaitGroup
 	for i := 0; i < 4; i++ {
+		consumers.Add(1)
 		go func() {
+			defer consumers.Done()
 			for {
 				task, ok := q.pop()
 				if !ok {
@@ -224,25 +228,36 @@ func TestQueueRemoveUnderLoad(t *testing.T) {
 	removed := q.remove(drop)
 	seen := make(map[*task]bool)
 	keepClaimed, dropClaimed := 0, 0
+	count := func(task *task) {
+		if seen[task] {
+			t.Fatal("task claimed twice")
+		}
+		seen[task] = true
+		if task.job == keep {
+			keepClaimed++
+		} else {
+			dropClaimed++
+		}
+	}
 	deadline := time.After(10 * time.Second)
 	for keepClaimed < perJob {
 		select {
 		case task := <-claimed:
-			if seen[task] {
-				t.Fatal("task claimed twice")
-			}
-			seen[task] = true
-			if task.job == keep {
-				keepClaimed++
-			} else {
-				dropClaimed++
-			}
+			count(task)
 		case <-deadline:
 			t.Fatalf("stalled: %d/%d keep tasks claimed (%d dropped, %d drop-claimed)",
 				keepClaimed, perJob, removed, dropClaimed)
 		}
 	}
+	// A consumer may still hold a drop task it popped before the last
+	// keep task arrived: stop the consumers, wait for them, and count
+	// every task they claimed.
 	q.close()
+	consumers.Wait()
+	close(claimed)
+	for task := range claimed {
+		count(task)
+	}
 	if dropClaimed+removed != perJob {
 		t.Fatalf("drop job accounting: %d claimed + %d removed != %d",
 			dropClaimed, removed, perJob)
