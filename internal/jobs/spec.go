@@ -31,10 +31,10 @@ import (
 
 // Flow names accepted by Spec.Flow.
 const (
-	FlowGenerate = "generate" // the paper's generation flow (core.RunGenerate)
+	FlowGenerate  = "generate"  // the paper's generation flow (core.RunGenerate)
 	FlowTranslate = "translate" // the translation flow (core.RunTranslate)
-	FlowSimulate = "simulate" // sharded fault simulation of a seeded sequence
-	FlowCompact = "compact" // restoration + chunked omission of a seeded sequence
+	FlowSimulate  = "simulate"  // sharded fault simulation of a seeded sequence
+	FlowCompact   = "compact"   // restoration + chunked omission of a seeded sequence
 )
 
 // Spec is a job submission: which flow to run, over which circuits,

@@ -12,9 +12,9 @@ func validSpec() Spec {
 
 func TestSpecValidate(t *testing.T) {
 	cases := []struct {
-		name    string
-		mutate  func(*Spec)
-		field   string // "" means the spec must be valid
+		name   string
+		mutate func(*Spec)
+		field  string // "" means the spec must be valid
 	}{
 		{"valid generate", func(s *Spec) {}, ""},
 		{"valid translate", func(s *Spec) { s.Flow = FlowTranslate }, ""},

@@ -69,9 +69,9 @@ func corruptKindOf(t *testing.T, err error) CorruptKind {
 
 func TestCorruptionClassesAreTyped(t *testing.T) {
 	cases := []struct {
-		name    string
-		mangle  func(data []byte) []byte
-		kind    CorruptKind
+		name   string
+		mangle func(data []byte) []byte
+		kind   CorruptKind
 	}{
 		{"truncated", func(d []byte) []byte { return d[:len(d)/2] }, CorruptFraming},
 		{"bit flip in ckPayload", func(d []byte) []byte {

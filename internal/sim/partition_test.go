@@ -9,12 +9,12 @@ func TestPartitionFaultsShape(t *testing.T) {
 	}{
 		{0, 4, 1},
 		{10, 1, 1},
-		{10, 4, 1},      // one batch, cannot split
-		{64, 2, 1},      // still one batch
-		{65, 2, 2},      // two batches, one each
-		{640, 4, 4},     // ten batches over four parts
-		{641, 100, 11},  // eleven batches cap the parts
-		{1000, 3, 3},    // uneven tail
+		{10, 4, 1},     // one batch, cannot split
+		{64, 2, 1},     // still one batch
+		{65, 2, 2},     // two batches, one each
+		{640, 4, 4},    // ten batches over four parts
+		{641, 100, 11}, // eleven batches cap the parts
+		{1000, 3, 3},   // uneven tail
 		{Slots * 7, 7, 7},
 	}
 	for _, c := range cases {
