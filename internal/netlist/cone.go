@@ -1,7 +1,9 @@
 package netlist
 
 import (
+	"cmp"
 	"math/bits"
+	"slices"
 	"sort"
 )
 
@@ -22,26 +24,19 @@ func (c *Circuit) buildFanoutGates() {
 	for s, readers := range c.fanout {
 		var gates []int32
 		for _, r := range readers {
-			if r.Gate < 0 {
+			if r.Gate < 0 || slices.Contains(gates, r.Gate) {
 				continue
 			}
-			dup := false
-			for _, gi := range gates {
-				if gi == r.Gate {
-					dup = true
-					break
-				}
+			if gates == nil {
+				gates = make([]int32, 0, len(readers))
 			}
-			if !dup {
-				gates = append(gates, r.Gate)
-			}
+			gates = append(gates, r.Gate)
 		}
-		sort.Slice(gates, func(a, b int) bool {
-			la, lb := c.Level[gates[a]], c.Level[gates[b]]
-			if la != lb {
-				return la < lb
+		slices.SortFunc(gates, func(a, b int32) int {
+			if la, lb := c.Level[a], c.Level[b]; la != lb {
+				return cmp.Compare(la, lb)
 			}
-			return gates[a] < gates[b]
+			return cmp.Compare(a, b)
 		})
 		c.fanoutGates[s] = gates
 	}
