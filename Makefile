@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet bench bench-compact bench-jobs fuzz metrics-check scand-smoke xcheck soak clean
+.PHONY: build test race vet bench bench-compact fuzz metrics-check scand-smoke xcheck soak clean
 
 build:
 	$(GO) build ./...
@@ -35,13 +35,6 @@ bench-compact:
 	$(GO) test -run '^$$' -bench 'CompactionEngines|ADIScores' \
 		-benchmem -benchtime $(BENCHTIME) ./internal/compact/ | \
 		tee /dev/stderr | $(GO) run ./cmd/benchjson > BENCH_compact.json
-
-# bench-jobs measures job-server throughput on a multi-circuit compact
-# job (restore stage + chained omission chunks per circuit) at one
-# worker versus a fleet — tasks/s and wall-clock speedup, with the two
-# runs' result bytes required identical — and writes BENCH_jobs.json.
-bench-jobs:
-	$(GO) run ./cmd/benchjobs
 
 # fuzz runs the .bench parser fuzzer for a short smoke interval, as CI
 # does. Override with FUZZTIME=5m for a longer local run.
@@ -88,4 +81,4 @@ soak:
 	$(GO) run -race ./cmd/crashsoak -iters $(SOAK_ITERS) -seed 1
 
 clean:
-	rm -f BENCH_sim.json BENCH_compact.json BENCH_jobs.json
+	rm -f BENCH_sim.json BENCH_compact.json
