@@ -1,9 +1,11 @@
 // Command scanworker is a remote task worker for a scand job server.
-// It claims leased tasks over HTTP, runs them through the same engine
-// code path as scand's in-process pool, heartbeats each lease with its
+// It claims leased tasks over HTTP, runs them with the same jobs.Worker
+// loop as scand's in-process workers, heartbeats each lease with its
 // current checkpoint so a crash costs at most one heartbeat interval
 // of work, and uploads results. Any number of scanworker processes —
-// on the scand host or other machines — drain the same queue.
+// on the scand host or other machines — drain the same queue. Each
+// heartbeat, result and release request times out after the lease TTL,
+// so a server that stops answering cannot wedge the worker.
 //
 // Usage:
 //

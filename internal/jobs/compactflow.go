@@ -13,9 +13,8 @@ import (
 // (chunk < 0) or one omission window chunk — from plain inputs: spec,
 // circuit name, the restore stage's kept mask (chunk tasks), and a
 // Control wired to the task's checkpoint store. Nothing server-side is
-// touched, so the in-process worker pool and a remote scanworker run
-// the identical code path; everything that distinguishes the callers
-// (where the store lives, how the result travels) stays outside.
+// touched: the worker that leased the task owns the store, and the
+// result travels back through its lease.
 func executeCompact(sp *Spec, circuit string, chunk int, restoredKept string, ctl *runctl.Control, rec obs.Observer) *taskResult {
 	d, faults, err := simWorkload(circuit, sp)
 	if err != nil {

@@ -5,7 +5,9 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
+	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
@@ -162,6 +164,82 @@ func TestLeaseLifecycle(t *testing.T) {
 		t.Fatalf("double completion = %v, want ErrLeaseGone", err)
 	}
 	_ = s
+}
+
+// TestLeaseRejectsMalformedResult: an uploaded result that result
+// assembly could not use gets a 400 before anything is persisted, the
+// server keeps answering, and the lease stays live, so a well-formed
+// upload on it then completes the job exactly like a local run.
+func TestLeaseRejectsMalformedResult(t *testing.T) {
+	spec := Spec{Flow: FlowSimulate, Circuits: []string{"s27"}, Seed: 2, SeqLen: 32}
+
+	_, local := testServer(t, Options{Workers: 1})
+	want := completeJob(t, local, spec)
+
+	_, c := testServer(t, Options{Workers: -1})
+	ctx := context.Background()
+	st, err := c.Submit(ctx, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := c.Claim(ctx, "manual")
+	if err != nil || a == nil {
+		t.Fatalf("claim = %+v, %v", a, err)
+	}
+	faults := a.ShardEnd - a.ShardStart
+	short := make([]int, faults-1)
+	late := make([]int, faults)
+	late[3] = spec.SeqLen
+	for _, body := range []string{
+		`{"result":{"status":"complete"}}`,
+		fmt.Sprintf(`{"result":{"status":"complete","faults":%d,"detected_at":%s}}`, faults, mustJSON(t, short)),
+		fmt.Sprintf(`{"result":{"status":"complete","faults":%d,"detected_at":%s}}`, faults, mustJSON(t, late)),
+		fmt.Sprintf(`{"result":{"status":"complete","faults":%d,"detected_at":%s}}`, faults+1, mustJSON(t, make([]int, faults))),
+	} {
+		resp, err := c.HTTP.Post(c.Base+"/v1/worker/claims/"+a.Lease+"/result", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("upload %s: status %d, want 400", body, resp.StatusCode)
+		}
+		getCtx, cancel := context.WithTimeout(ctx, 10*time.Second)
+		_, err = c.Get(getCtx, st.ID)
+		cancel()
+		if err != nil {
+			t.Fatalf("server stopped answering after a malformed upload: %v", err)
+		}
+	}
+	if workers, err := c.Workers(ctx); err != nil || len(workers) != 1 {
+		t.Fatalf("leases after rejected uploads = %+v, %v", workers, err)
+	}
+
+	ctl := &runctl.Control{Store: runctl.NewFileStore(filepath.Join(t.TempDir(), "ckpt")), Resume: a.Resume}
+	res := executeFlow(&a.Spec, a.Circuit, sim.FaultRange{Start: a.ShardStart, End: a.ShardEnd},
+		a.Chunk, a.RestoredKept, ctl, nil)
+	if err := c.CompleteClaim(ctx, a.Lease, res, nil); err != nil {
+		t.Fatal(err)
+	}
+	if final := waitTerminal(t, c, st.ID); final.State != StateComplete {
+		t.Fatalf("job settled %s (error %q)", final.State, final.Error)
+	}
+	got, err := c.Result(ctx, st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("result after rejected uploads differs from a local run:\n--- got ---\n%s\n--- local ---\n%s", got, want)
+	}
+}
+
+func mustJSON(t *testing.T, v any) string {
+	t.Helper()
+	data, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(data)
 }
 
 // TestLeaseReclaimCrashResume is the acceptance scenario: a worker

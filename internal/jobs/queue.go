@@ -2,14 +2,13 @@ package jobs
 
 import "sync"
 
-// queue is the task queue the server's local workers and remote
-// scanworker claims drain. Tasks enqueue FIFO per tenant inside a
-// priority class; claims take the highest class with claimable work and
-// round-robin across that class's tenants in first-appearance order, so
-// a tenant flooding hundreds of tasks delays its own backlog, not
-// another tenant's single job. Fairness is at task granularity: a
-// sharded job from tenant A and a job from tenant B interleave shard by
-// shard.
+// queue is the task queue that in-process and remote workers' claims
+// drain. Tasks enqueue FIFO per tenant inside a priority class; claims
+// take the highest class with claimable work and round-robin across
+// that class's tenants in first-appearance order, so a tenant flooding
+// hundreds of tasks delays its own backlog, not another tenant's single
+// job. Fairness is at task granularity: a sharded job from tenant A and
+// a job from tenant B interleave shard by shard.
 //
 // A per-tenant in-flight quota (0 = unlimited) additionally caps how
 // many claimed-but-unfinished tasks one tenant may hold across the
@@ -64,20 +63,23 @@ func (q *queue) class(prio int) *prioClass {
 	return pc
 }
 
-// push enqueues a task under its job's tenant and priority.
-func (q *queue) push(t *task) {
+// push enqueues tasks under their jobs' tenants and priorities, all in
+// one queue operation: no claim can interleave with the pushes.
+func (q *queue) push(ts ...*task) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.closed {
 		return
 	}
-	sp := &t.job.status.Spec
-	pc := q.class(sp.Priority)
-	if _, ok := pc.tasks[sp.Tenant]; !ok {
-		pc.ring = append(pc.ring, sp.Tenant)
+	for _, t := range ts {
+		sp := &t.job.status.Spec
+		pc := q.class(sp.Priority)
+		if _, ok := pc.tasks[sp.Tenant]; !ok {
+			pc.ring = append(pc.ring, sp.Tenant)
+		}
+		pc.tasks[sp.Tenant] = append(pc.tasks[sp.Tenant], t)
+		q.cond.Signal()
 	}
-	pc.tasks[sp.Tenant] = append(pc.tasks[sp.Tenant], t)
-	q.cond.Signal()
 }
 
 // pruneLocked drops a drained tenant from its class (and an emptied
@@ -149,8 +151,8 @@ func (q *queue) pop() (*task, bool) {
 	}
 }
 
-// tryPop is the non-blocking claim used by the remote worker-claim API:
-// it returns immediately with no task when nothing is claimable.
+// tryPop is the non-blocking claim used by the HTTP claim API: it
+// returns immediately with no task when nothing is claimable.
 func (q *queue) tryPop() (*task, bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()

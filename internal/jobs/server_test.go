@@ -103,7 +103,7 @@ func TestServerLifecycle(t *testing.T) {
 	if _, err := obs.Validate(bytes.NewReader(events.Bytes())); err != nil {
 		t.Fatalf("event stream invalid: %v\n%s", err, events.Bytes())
 	}
-	for _, marker := range []string{"task_start", "task_done", "settled"} {
+	for _, marker := range []string{"task_claimed", "task_done", "settled"} {
 		if !strings.Contains(events.String(), marker) {
 			t.Fatalf("event stream lacks %q:\n%s", marker, events.String())
 		}

@@ -44,8 +44,8 @@ const (
 // fields so that a typo in a client request fails loudly with a 400
 // instead of silently running a different job.
 type Spec struct {
-	// Flow selects the pipeline: FlowGenerate, FlowTranslate or
-	// FlowSimulate.
+	// Flow selects the pipeline: FlowGenerate, FlowTranslate,
+	// FlowSimulate or FlowCompact.
 	Flow string `json:"flow"`
 	// Circuits lists catalog circuits; the job runs one task per
 	// circuit (per shard for FlowSimulate), all claimable by different
