@@ -7,7 +7,6 @@ import (
 	"repro/internal/circuits"
 	"repro/internal/fault"
 	"repro/internal/logic"
-	"repro/internal/scan"
 )
 
 // xSeq returns a random sequence over 0/1/X where each position is X
@@ -120,37 +119,10 @@ func TestEventKernelDifferentialSubset(t *testing.T) {
 // state load, functional vectors, flush — the kernels must agree, and
 // the event kernel must actually fast-forward dead scan-shift cycles.
 func TestEventKernelDifferentialScan(t *testing.T) {
-	orig, err := circuits.Load("s298")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc, err := scan.Insert(orig)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sc := scanDesign(t, "s298")
 	c := sc.Scan
 	faults := fault.Universe(c, true)
-	rng := rand.New(rand.NewSource(7))
-	seq := make(logic.Sequence, 0, 6*(sc.NSV+2))
-	for test := 0; test < 6; test++ {
-		state := make([]logic.Value, sc.NSV)
-		for i := range state {
-			state[i] = logic.Value(rng.Intn(2))
-		}
-		load, err := sc.ScanInSequence(state)
-		if err != nil {
-			t.Fatal(err)
-		}
-		seq = append(seq, load...)
-		for f := 0; f < 2; f++ {
-			orig := logic.NewVector(sc.Orig.NumInputs())
-			for i := range orig {
-				orig[i] = logic.Value(rng.Intn(2))
-			}
-			seq = append(seq, sc.FunctionalVector(orig))
-		}
-		seq = append(seq, sc.FlushVectors(0)...)
-	}
+	seq := scanTests(sc, rand.New(rand.NewSource(7)), 6, 2)
 	for _, workers := range []int{1, 3} {
 		s := NewSimulator(c, workers)
 		ev := diffKernels(t, s, seq, faults, Options{}, "s298_scan")

@@ -3,6 +3,7 @@ package sim
 import (
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -33,9 +34,11 @@ type Simulator struct {
 	// same sequence (by vector identity) against different fault
 	// subsets, and rebuilding the trace dominated those runs. The most
 	// recent trace is kept (with its machine checked out) and reused
-	// when the next Run's sequence and initial state match. Guarded by
-	// trMu; refs/cached on goodTrace track in-flight users so a
-	// replaced trace's machine is released only by its last user.
+	// when the next Run's sequence and initial state match; a trace that
+	// replaces it reuses its shared prefix and splices onto its shared
+	// tail (newTrace). Guarded by trMu; refs/cached on goodTrace track
+	// in-flight users so a replaced trace's machine is released only by
+	// its last user.
 	trMu   sync.Mutex
 	cached *goodTrace
 
@@ -48,6 +51,7 @@ type Simulator struct {
 	cPoolHit, cPoolMiss                *obs.Counter
 	cTraceHit, cTraceMiss              *obs.Counter
 	cTracePrefixHit, cTracePrefixSteps *obs.Counter
+	cTraceSpliceHit, cTraceSpliceSteps *obs.Counter
 }
 
 // NewSimulator returns a Simulator for circuit c running fault batches
@@ -69,9 +73,10 @@ func NewSimulator(c *netlist.Circuit, workers int) *Simulator {
 func (s *Simulator) Circuit() *netlist.Circuit { return s.c }
 
 // Observe attaches an observer under the "sim" phase: machine-pool
-// hits/misses, trace-cache hits/misses, runs, batches, batch steps and
-// fast-forwarded cycles. Pass nil to detach. Attach before issuing
-// Runs; the method is not synchronized with in-flight calls.
+// hits/misses, trace-cache hits/misses, trace prefix and splice reuse,
+// runs, batches, batch steps and fast-forwarded cycles. Pass nil to
+// detach. Attach before issuing Runs; the method is not synchronized
+// with in-flight calls.
 func (s *Simulator) Observe(o obs.Observer) {
 	s.cRuns = obs.C(o, "sim.runs")
 	s.cBatches = obs.C(o, "sim.batches")
@@ -83,6 +88,8 @@ func (s *Simulator) Observe(o obs.Observer) {
 	s.cTraceMiss = obs.C(o, "sim.trace_misses")
 	s.cTracePrefixHit = obs.C(o, "sim.trace_prefix_hits")
 	s.cTracePrefixSteps = obs.C(o, "sim.trace_prefix_steps")
+	s.cTraceSpliceHit = obs.C(o, "sim.trace_splice_hits")
+	s.cTraceSpliceSteps = obs.C(o, "sim.trace_splice_steps")
 }
 
 // Workers returns the configured worker count.
@@ -133,22 +140,35 @@ type goodTrace struct {
 	sigW, ffW  int
 	imgs       [][]uint64
 
+	// Splice source (see linkTail): the evicted trace whose sequence
+	// ends in the same vectors. Position p >= srcFrom of this trace runs
+	// the vector of position p-srcOff of src. src is frozen — evicted
+	// with no users, so nothing extends it — and never has a source of
+	// its own. Guarded by mu.
+	src     *goodTrace
+	srcFrom int
+	srcOff  int
+	owner   *Simulator // for the splice counters
+
 	// Cache bookkeeping, guarded by the owning Simulator's trMu.
 	initState []logic.Value // copy of the creating Run's InitialState
 	refs      int           // in-flight Run calls using this trace
 	cached    bool          // still the Simulator's cached trace
 }
 
-func (s *Simulator) newTrace(seq logic.Sequence, opts Options) *goodTrace {
+// newTrace builds the trace for seq/opts, warm-started from old (the
+// trace it is about to replace, or nil) where the two agree.
+func (s *Simulator) newTrace(seq logic.Sequence, opts Options, old *goodTrace) *goodTrace {
 	tr := &goodTrace{
 		// The header array is copied so the cached trace's key cannot
 		// alias a caller's reused sequence buffer (compaction builds
 		// trial sequences into one scratch slice); the vectors
 		// themselves are shared.
-		seq:  append(logic.Sequence(nil), seq...),
-		m:    s.Acquire(),
-		nPO:  s.c.NumOutputs(),
-		rows: make([][]logic.Value, len(seq)),
+		seq:   append(logic.Sequence(nil), seq...),
+		m:     s.Acquire(),
+		nPO:   s.c.NumOutputs(),
+		rows:  make([][]logic.Value, len(seq)),
+		owner: s,
 	}
 	if opts.Kernel != KernelFull {
 		tr.withImages = true
@@ -160,43 +180,30 @@ func (s *Simulator) newTrace(seq logic.Sequence, opts Options) *goodTrace {
 		tr.m.SetStateBroadcast(opts.InitialState)
 		tr.initState = append([]logic.Value(nil), opts.InitialState...)
 	}
-	s.seedTracePrefix(tr)
+	if old != nil && old.withImages && tr.withImages && slices.Equal(old.initState, tr.initState) {
+		s.seedTracePrefix(tr, old)
+		if old.refs == 0 {
+			tr.linkTail(old)
+		}
+	}
 	return tr
 }
 
 // seedTracePrefix warm-starts a fresh trace from the trace it replaces:
-// compaction trials rebuild sequences that differ from the previous one
-// in a single vector or window, so the evicted trace's rows and images
-// up to the first differing vector are this trace's prefix verbatim.
-// The shared rows/images are immutable once produced, and the good
-// machine restarts from the flip-flop state the last shared image
-// carries, so producing vector p next is indistinguishable from having
-// stepped 0..p-1. Called (from newTrace) under trMu; the old trace may
-// be mid-extension on another goroutine, so its produced counter is
+// a sequence that edits the previous one past its start (omission drops
+// a window, a caller appends vectors) repeats the evicted trace's rows
+// and images up to the first differing vector verbatim. The shared
+// rows/images are immutable once produced, and the good machine
+// restarts from the flip-flop state the last shared image carries, so
+// producing vector p next is indistinguishable from having stepped
+// 0..p-1. Restoration trials insert in front and share a tail instead;
+// linkTail serves them. Called (from newTrace) under trMu; the old trace
+// may be mid-extension on another goroutine, so its produced counter is
 // read once and only fully-published vectors are shared.
-func (s *Simulator) seedTracePrefix(tr *goodTrace) {
-	old := s.cached
-	if old == nil || !old.withImages || !tr.withImages {
-		return
-	}
-	if len(old.initState) != len(tr.initState) {
-		return
-	}
-	for i, v := range tr.initState {
-		if old.initState[i] != v {
-			return
-		}
-	}
-	limit := int(old.produced.Load())
-	if limit > len(tr.seq) {
-		limit = len(tr.seq)
-	}
+func (s *Simulator) seedTracePrefix(tr, old *goodTrace) {
+	limit := min(int(old.produced.Load()), len(tr.seq))
 	p := 0
-	for p < limit {
-		a, b := tr.seq[p], old.seq[p]
-		if len(a) != len(b) || (len(a) != 0 && &a[0] != &b[0]) {
-			break
-		}
+	for p < limit && sameVector(tr.seq[p], old.seq[p]) {
 		p++
 	}
 	if p == 0 {
@@ -210,6 +217,31 @@ func (s *Simulator) seedTracePrefix(tr *goodTrace) {
 	s.cTracePrefixSteps.Add(int64(p))
 }
 
+// linkTail records old as tr's splice source when the two sequences end
+// in the same vectors and old has produced at least two positions of
+// that tail (a splice compares one and copies from the next). Vector
+// restoration inserts a block in front of the kept vectors, so
+// consecutive trials share a tail; on a scan circuit one scan operation
+// overwrites the state, so their fault-free trajectories soon meet
+// again, and from there on old's rows and images are tr's (see splice).
+// Called under trMu with old unused, so old is frozen.
+func (tr *goodTrace) linkTail(old *goodTrace) {
+	n, m := len(tr.seq), len(old.seq)
+	l := 0
+	for l < n && l < m && sameVector(tr.seq[n-1-l], old.seq[m-1-l]) {
+		l++
+	}
+	if l == 0 || int(old.produced.Load()) < m-l+2 {
+		return
+	}
+	tr.src, tr.srcFrom, tr.srcOff = old, n-l, n-m
+}
+
+// sameVector reports vector identity: same backing array, same length.
+func sameVector(a, b logic.Vector) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
+}
+
 // matches reports whether this trace serves a Run of seq with opts. The
 // sequence is compared by per-vector slice identity (same backing
 // array, same length) — Run's documented assumption that callers do not
@@ -219,26 +251,7 @@ func (tr *goodTrace) matches(seq logic.Sequence, opts Options) bool {
 	if opts.Kernel != KernelFull && !tr.withImages {
 		return false
 	}
-	if len(seq) != len(tr.seq) {
-		return false
-	}
-	for t := range seq {
-		if len(seq[t]) != len(tr.seq[t]) {
-			return false
-		}
-		if len(seq[t]) != 0 && &seq[t][0] != &tr.seq[t][0] {
-			return false
-		}
-	}
-	if len(opts.InitialState) != len(tr.initState) {
-		return false
-	}
-	for i, v := range opts.InitialState {
-		if v != tr.initState[i] {
-			return false
-		}
-	}
-	return true
+	return slices.EqualFunc(seq, tr.seq, sameVector) && slices.Equal(opts.InitialState, tr.initState)
 }
 
 // acquireTrace returns a trace for seq/opts, reusing the cached one when
@@ -252,35 +265,44 @@ func (s *Simulator) acquireTrace(seq logic.Sequence, opts Options) *goodTrace {
 		return c
 	}
 	s.cTraceMiss.Inc()
-	tr := s.newTrace(seq, opts)
+	old := s.cached
+	tr := s.newTrace(seq, opts, old)
 	tr.refs = 1
 	tr.cached = true
-	if old := s.cached; old != nil {
+	if old != nil {
 		old.cached = false
 		if old.refs == 0 {
-			s.Release(old.m)
+			s.retireTrace(old)
 		}
 	}
 	s.cached = tr
 	return tr
 }
 
-// releaseTrace drops one reference; an evicted trace's machine returns
-// to the pool with the last reference. The cached trace keeps its
-// machine checked out so the next matching Run continues where the
-// trace left off.
+// releaseTrace drops one reference; an evicted trace retires with the
+// last reference. The cached trace keeps its machine checked out so the
+// next matching Run continues where the trace left off.
 func (s *Simulator) releaseTrace(tr *goodTrace) {
 	s.trMu.Lock()
 	defer s.trMu.Unlock()
 	tr.refs--
 	if tr.refs == 0 && !tr.cached {
-		s.Release(tr.m)
+		s.retireTrace(tr)
 	}
+}
+
+// retireTrace returns an evicted, unused trace's machine to the pool and
+// drops its splice source, so a trace that becomes the next one's source
+// holds none of its own. Called under trMu.
+func (s *Simulator) retireTrace(tr *goodTrace) {
+	tr.src = nil
+	s.Release(tr.m)
 }
 
 // ensure advances the shared good machine through vector t, capturing
 // output rows (and, for the event kernel, compact images) of every
-// produced vector.
+// produced vector. Past the start of a shared tail, each produced
+// position is offered to splice, which may adopt many positions at once.
 func (tr *goodTrace) ensure(t int) {
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
@@ -295,7 +317,41 @@ func (tr *goodTrace) ensure(t int) {
 			tr.imgs[p] = tr.captureImage()
 		}
 		tr.produced.Store(int64(p + 1))
+		if tr.src != nil && p >= tr.srcFrom {
+			p = tr.splice(p)
+		}
 	}
+}
+
+// splice compares the flip-flop state after shared-tail position p with
+// the source's state after the same vector. Equal states under equal
+// vectors stay equal, so on a match the source's published rows and
+// images for the rest of the tail are this trace's verbatim: they are
+// adopted (they are immutable once produced), the good machine restarts
+// from the last adopted image, and the last adopted position is
+// returned. The source is dropped at the splice and once it has nothing
+// beyond p to offer. Called under tr.mu.
+func (tr *goodTrace) splice(p int) int {
+	src := tr.src
+	q := p - tr.srcOff
+	limit := int(src.produced.Load())
+	if q+1 >= limit {
+		tr.src = nil
+		return p
+	}
+	ff := 2 * tr.sigW
+	if !slices.Equal(tr.imgs[p][ff:], src.imgs[q][ff:]) {
+		return p
+	}
+	tr.src = nil
+	end := limit + tr.srcOff
+	copy(tr.rows[p+1:end], src.rows[q+1:limit])
+	copy(tr.imgs[p+1:end], src.imgs[q+1:limit])
+	tr.m.setStateFromTraceImage(tr.imgs[end-1], tr.sigW, tr.ffW)
+	tr.produced.Store(int64(end))
+	tr.owner.cTraceSpliceHit.Inc()
+	tr.owner.cTraceSpliceSteps.Add(int64(end - p - 1))
+	return end - 1
 }
 
 // captureImage compresses slot 0 of the good machine's planes into a
