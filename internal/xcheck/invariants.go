@@ -28,6 +28,7 @@ func Invariants() []Invariant {
 		{"diff/run", checkDiffRun},
 		{"diff/subset", checkDiffSubset},
 		{"diff/reference", checkReference},
+		{"sim/trace-reuse", checkTraceReuse},
 		{"compact/keeps-detections", checkCompactKeepsDetections},
 		{"compact/engines", checkEngineEquivalence},
 		{"compact/pipeline-length", checkPipelineLength},
