@@ -68,9 +68,10 @@ func BenchmarkCompaction(b *testing.B) {
 // engine against the serial scratch reference on the full pipeline,
 // across worker counts; omission runs its one engine in both. Both
 // produce bit-identical output; the metrics expose where the time goes:
-// trial throughput, the fault-free trace prefix reuse in the shared
-// simulator, and the omission engine's reconvergence cutoffs and
-// window-memo hits.
+// trial throughput, the shared simulator's fault-free trace splices
+// (restoration trials share a tail with the previous trial, and the
+// trace adopts the previous one's rows where the two reconverge), and
+// the omission engine's reconvergence cutoffs and window-memo hits.
 func BenchmarkCompactionEngines(b *testing.B) {
 	c, err := circuits.Load("s298")
 	if err != nil {
@@ -108,8 +109,8 @@ func BenchmarkCompactionEngines(b *testing.B) {
 				snap := reg.Snapshot().Counters
 				trials := snap["restore.trials"] + snap["omit.trials"]
 				b.ReportMetric(float64(trials)/b.Elapsed().Seconds(), "trials/s")
-				b.ReportMetric(float64(snap["sim.trace_prefix_hits"])/float64(b.N), "prefix_hits/op")
-				b.ReportMetric(float64(snap["sim.trace_prefix_steps"])/float64(b.N), "prefix_steps/op")
+				b.ReportMetric(float64(snap["sim.trace_splice_hits"])/float64(b.N), "splice_hits/op")
+				b.ReportMetric(float64(snap["sim.trace_splice_steps"])/float64(b.N), "splice_steps/op")
 				b.ReportMetric(float64(snap["omit.reconv_cutoffs"])/float64(b.N), "reconv/op")
 				b.ReportMetric(float64(snap["omit.window_memo_hits"])/float64(b.N), "win_hits/op")
 				b.ReportMetric(float64(st.BatchSteps), "batchsteps")
