@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet bench bench-compact fuzz metrics-check scand-smoke xcheck soak clean
+.PHONY: build test race vet bench bench-compact fuzz metrics-check scand-smoke tables-check xcheck soak clean
 
 build:
 	$(GO) build ./...
@@ -28,7 +28,7 @@ bench:
 
 # bench-compact runs the compaction trial-engine benchmarks — the
 # incremental engine against the serial scratch reference across worker
-# counts (trial throughput, prefix-cache reuse, reconvergence cutoffs)
+# counts (trial throughput, fault-free trace splices, reconvergence cutoffs)
 # plus the ADI scoring pass — and writes BENCH_compact.json:
 #   make bench-compact BENCHTIME=1x     # CI smoke
 bench-compact:
@@ -59,6 +59,14 @@ metrics-check:
 # clean SIGTERM drain (README "Serving jobs", docs/ALGORITHMS.md §15).
 scand-smoke:
 	GO="$(GO)" sh scripts/scand_smoke.sh
+
+# tables-check runs the small suites of scangen (Tables 5 and 6) and
+# scantrans (Table 7) and requires every row to equal the committed row
+# of the same table and circuit in results_table5_6.txt and
+# results_table7.txt; small Table 7 circuits the committed file lacks
+# are printed as unchecked (scripts/tables_check.sh).
+tables-check:
+	GO="$(GO)" sh scripts/tables_check.sh
 
 # xcheck runs the differential/metamorphic cross-check harness
 # (docs/ALGORITHMS.md §12) on fixed seeds across every catalog circuit plus
