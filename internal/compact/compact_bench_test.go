@@ -44,15 +44,17 @@ func BenchmarkCompaction(b *testing.B) {
 		b.ReportMetric(float64(st.BatchSteps), "batchsteps")
 	})
 	b.Run("omit-only", func(b *testing.B) {
+		reg := obs.NewRegistry()
 		var n int
 		var st Stats
 		for i := 0; i < b.N; i++ {
 			var out logic.Sequence
-			out, st = Omit(sc.Scan, gen.Sequence, faults)
+			out, st = OmitOpts(sc.Scan, gen.Sequence, faults, Options{Obs: reg})
 			n = len(out)
 		}
 		b.ReportMetric(float64(n), "cycles")
 		b.ReportMetric(float64(st.BatchSteps), "batchsteps")
+		b.ReportMetric(float64(reg.Snapshot().Counters["omit.reconv_cutoffs"])/float64(b.N), "reconv/op")
 	})
 	b.Run("restore-then-omit", func(b *testing.B) {
 		var n int
@@ -68,10 +70,10 @@ func BenchmarkCompaction(b *testing.B) {
 // engine against the serial scratch reference on the full pipeline,
 // across worker counts; omission runs its one engine in both. Both
 // produce bit-identical output; the metrics expose where the time goes:
-// trial throughput, the shared simulator's fault-free trace splices
-// (restoration trials share a tail with the previous trial, and the
-// trace adopts the previous one's rows where the two reconverge), and
-// the omission engine's reconvergence cutoffs and window-memo hits.
+// trial throughput, the simulator's fault-free trace splices (each
+// restoration or omission trial shares a tail with the trace before it,
+// and adopts that trace's rows where the two reconverge), the omission
+// trials among them (reconvergence cutoffs) and window-memo hits.
 func BenchmarkCompactionEngines(b *testing.B) {
 	c, err := circuits.Load("s298")
 	if err != nil {

@@ -72,6 +72,50 @@ func TestRestoreThenOmitGolden(t *testing.T) {
 	}
 }
 
+// TestOmitWorkGolden pins omission's seed-1 work in the pipeline: the
+// Stats work counts and the trial, reconvergence and window-memo
+// counters. Omission's trial traces are edits of the committed trace,
+// and a trial counts as a reconvergence cutoff when its trace spliced,
+// so the cutoffs move if the splice compares other positions than the
+// trial produces. On s420 that includes a trial whose trajectory meets
+// the committed one only at its last position.
+func TestOmitWorkGolden(t *testing.T) {
+	golden := []struct {
+		circuit                 string
+		batchSteps              int64
+		simulations             int
+		trials, reconv, winHits int64
+	}{
+		{"s298", 84838, 633, 535, 516, 2574},
+		{"s420", 534920, 1694, 1343, 1301, 6421},
+	}
+	for _, g := range golden {
+		t.Run(g.circuit, func(t *testing.T) {
+			c, err := circuits.Load(g.circuit)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sc, err := scan.Insert(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			faults := fault.Universe(sc.Scan, true)
+			gen := seqatpg.Generate(sc, faults, seqatpg.Options{Seed: 1})
+			reg := obs.NewRegistry()
+			_, _, _, ost := RestoreThenOmitOpts(sc.Scan, gen.Sequence, faults, Options{Obs: reg})
+			n := reg.Snapshot().Counters
+			if ost.BatchSteps != g.batchSteps || ost.Simulations != g.simulations {
+				t.Errorf("batch steps %d, simulations %d; golden %d, %d",
+					ost.BatchSteps, ost.Simulations, g.batchSteps, g.simulations)
+			}
+			if n["omit.trials"] != g.trials || n["omit.reconv_cutoffs"] != g.reconv || n["omit.window_memo_hits"] != g.winHits {
+				t.Errorf("trials %d, reconvergence cutoffs %d, window-memo hits %d; golden %d, %d, %d",
+					n["omit.trials"], n["omit.reconv_cutoffs"], n["omit.window_memo_hits"], g.trials, g.reconv, g.winHits)
+			}
+		})
+	}
+}
+
 // TestADIOrderGolden pins the pipeline output under OrderADI. The ADI
 // order is the one option that legitimately changes the compacted
 // sequence, so it gets its own goldens; on these circuits it beats the

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/logic"
-	"repro/internal/netlist"
 	"repro/internal/obs"
 	"repro/internal/runctl"
 	"repro/internal/sim"
@@ -50,17 +49,16 @@ func omitCkptStride(nVec, nBatches, nFF int) int {
 //     on the input prefix, and additionally memoized at the current
 //     removal window's boundary, so a trial replays at most a window's
 //     worth of prefix per batch;
-//   - fault-free data (compact per-position state images plus output
-//     rows) is maintained for the whole working sequence, and a trial's
-//     fault-free suffix is recomputed only until its state reconverges
-//     with the committed trajectory — on scan sequences that is about
+//   - the complete fault-free trace of the working sequence is kept,
+//     and each trial's trace is an edit of it (sim.Trace.Edit): the
+//     prefix is copied, and the suffix is stepped only until its state
+//     meets the committed trajectory — on scan sequences that is about
 //     one scan operation, not the remaining tail;
 //   - a trial only simulates the faults whose detections are at stake,
 //     each bounded just past its batch's latest previous detection,
 //     packed 64 to a machine in earliest-deadline order with an early
 //     exit on the first failure (see tryRemove).
 type omitter struct {
-	c      *netlist.Circuit
 	sim    *sim.Simulator
 	faults []fault.Fault
 	in     logic.Sequence // input sequence, never mutated
@@ -68,12 +66,10 @@ type omitter struct {
 	idx    []int // idx[i] = input position of cur[i]
 	detAt  []int
 
-	good *sim.Machine
-	// goodImg[t] / goodRows[t] are the fault-free state image after and
-	// the output row at cur[t] of the *committed* working sequence;
-	// both are spliced and patched on every commit.
-	goodImg  []sim.StateImage
-	goodRows [][]logic.Value
+	// good is the complete fault-free trace of cur; trial is tryRemove's
+	// scratch for the trial sequence whose trace edits it.
+	good  *sim.Trace
+	trial logic.Sequence
 
 	stride  int // spacing of per-batch prefix checkpoints
 	batches []*omitBatch
@@ -105,8 +101,8 @@ type omitter struct {
 	// trials attempted, vectors actually removed); OmitOpts sets them.
 	cTrials  *obs.Counter
 	cRemoved *obs.Counter
-	// cReconv counts trials whose fault-free suffix recomputation was
-	// cut off by reconvergence with the committed trajectory.
+	// cReconv counts trials whose fault-free trace spliced onto the
+	// committed trajectory.
 	cReconv *obs.Counter
 	// cWinHits counts the batches a trial group read from the
 	// window-boundary memo instead of replaying a stride checkpoint.
@@ -134,19 +130,17 @@ type omitBatch struct {
 }
 
 // newOmitter fault-simulates seq once, recording detection times,
-// per-position good data and per-batch checkpoints. The per-batch
+// the fault-free trace and per-batch checkpoints. The per-batch
 // replays are independent (each writes its own checkpoint list and a
 // disjoint slice of detAt), so they fan out across the simulator's
 // workers; the trial engine itself stays serial.
 func newOmitter(s *sim.Simulator, seq logic.Sequence, faults []fault.Fault) *omitter {
 	c := s.Circuit()
 	o := &omitter{
-		c:      c,
 		sim:    s,
 		faults: faults,
 		in:     seq.Clone(),
 		detAt:  make([]int, len(faults)),
-		good:   s.Acquire(),
 		winLo:  -1,
 	}
 	// cur starts as a fresh copy of in (commit splices cur's backing
@@ -159,7 +153,8 @@ func newOmitter(s *sim.Simulator, seq logic.Sequence, faults []fault.Fault) *omi
 	for i := range o.detAt {
 		o.detAt[i] = sim.NotDetected
 	}
-	o.rebuildGood()
+	o.good = s.NewTrace(o.cur)
+	o.good.Complete()
 
 	o.scratch = s.Acquire()
 	o.replay = s.Acquire()
@@ -189,7 +184,7 @@ func newOmitter(s *sim.Simulator, seq logic.Sequence, faults []fault.Fault) *omi
 				b.ckpts = append(b.ckpts, m.SaveState())
 			}
 			m.Step(v)
-			detected |= o.detectStep(m, b, o.goodRows[t], detected, allMask, t)
+			detected |= o.detectStep(m, b, o.good.Row(t), detected, allMask, t)
 		}
 		o.batches[bi] = b
 	}
@@ -228,30 +223,8 @@ func newOmitter(s *sim.Simulator, seq logic.Sequence, faults []fault.Fault) *omi
 	return o
 }
 
-// rebuildGood recomputes the committed fault-free data (state images
-// and output rows) over the current working sequence from scratch.
-// Used at construction and after a checkpoint resume rebuilt cur;
-// everywhere else commits patch the arrays incrementally.
-func (o *omitter) rebuildGood() {
-	nPO := o.c.NumOutputs()
-	o.good.ClearFaults()
-	o.good.Reset()
-	o.goodImg = make([]sim.StateImage, len(o.cur))
-	o.goodRows = make([][]logic.Value, len(o.cur))
-	for t, v := range o.cur {
-		o.good.Step(v)
-		o.goodImg[t] = o.good.StateImage()
-		row := make([]logic.Value, nPO)
-		for po := range row {
-			row[po] = o.good.OutputSlot(po, 0)
-		}
-		o.goodRows[t] = row
-	}
-}
-
 // close returns the omitter's pooled machines to the simulator.
 func (o *omitter) close() {
-	o.sim.Release(o.good)
 	o.sim.Release(o.scratch)
 	o.sim.Release(o.replay)
 }
@@ -299,75 +272,6 @@ func outputDiff(m *sim.Machine, row []logic.Value) uint64 {
 	return diff
 }
 
-// trialGood lazily produces the fault-free output rows of one trial
-// sequence (cur with [lo, lo+removed) deleted). The recomputation is
-// cut off as soon as the trial's fault-free state reconverges with the
-// committed trajectory — from then on the committed rows, shifted by
-// the removal, are the trial's rows verbatim. On success the produced
-// span is exactly the patch a commit must apply to the committed
-// arrays.
-type trialGood struct {
-	o           *omitter
-	lo, removed int
-	next        int // next trial position to produce
-	conv        int // first position served from committed data, -1 while diverged
-	rows        [][]logic.Value
-	imgs        []sim.StateImage
-}
-
-// newTrialGood positions the omitter's good machine just before trial
-// position lo and returns the provider. Nothing else may touch o.good
-// until the trial ends.
-func (o *omitter) newTrialGood(lo, removed int) *trialGood {
-	if lo > 0 {
-		o.good.SetStateImage(o.goodImg[lo-1])
-	} else {
-		o.good.Reset()
-	}
-	return &trialGood{o: o, lo: lo, removed: removed, next: lo, conv: -1}
-}
-
-// ensure produces trial rows for every position below bound (exclusive)
-// unless reconvergence makes them unnecessary first.
-func (tg *trialGood) ensure(bound int) {
-	o := tg.o
-	limit := len(o.cur) - tg.removed
-	if bound > limit {
-		bound = limit
-	}
-	nPO := o.c.NumOutputs()
-	for tg.conv < 0 && tg.next < bound {
-		o.good.Step(o.cur[tg.next+tg.removed])
-		row := make([]logic.Value, nPO)
-		for po := range row {
-			row[po] = o.good.OutputSlot(po, 0)
-		}
-		tg.rows = append(tg.rows, row)
-		tg.imgs = append(tg.imgs, o.good.StateImage())
-		if o.good.StateEqualsImage(o.goodImg[tg.next+tg.removed]) {
-			tg.conv = tg.next + 1
-			o.cReconv.Inc()
-		}
-		tg.next++
-	}
-}
-
-// row returns the trial's fault-free output row at trial position t.
-// Only positions below a previous ensure bound (or below the
-// reconvergence point) are valid.
-func (tg *trialGood) row(t int) []logic.Value {
-	if tg.conv >= 0 && t >= tg.conv {
-		return tg.o.goodRows[t+tg.removed]
-	}
-	if t >= tg.next {
-		tg.ensure(t + 1)
-		if tg.conv >= 0 && t >= tg.conv {
-			return tg.o.goodRows[t+tg.removed]
-		}
-	}
-	return tg.rows[t-tg.lo]
-}
-
 type omitHit struct{ fi, t int }
 
 // windowState returns batch bi's faulty state just before cur[winLo].
@@ -406,11 +310,11 @@ func (o *omitter) windowState(bi int) *sim.State {
 // re-detected before its deadline. Slots are independent, so a member's
 // detection time does not depend on which faults share the machine.
 // Each slot starts from its batch's window memo; the monitored suffix
-// reads the trial's fault-free rows, which tg produces on demand. The
+// reads the trial's fault-free rows, which tr produces on demand. The
 // group fails as soon as the trial reaches the deadline of a member
 // that is still undetected; on success the members' detection times
 // are appended to hits.
-func (o *omitter) runGroup(group []stakeFault, lo, removed int, tg *trialGood, hits []omitHit) ([]omitHit, bool) {
+func (o *omitter) runGroup(group []stakeFault, lo, removed int, tr *sim.Trace, hits []omitHit) ([]omitHit, bool) {
 	m := o.scratch
 	m.ClearFaults()
 	var st *sim.State
@@ -442,7 +346,7 @@ func (o *omitter) runGroup(group []stakeFault, lo, removed int, tg *trialGood, h
 		}
 		m.Step(o.cur[t+removed])
 		o.steps++
-		newly := outputDiff(m, tg.row(t)) & all &^ detected
+		newly := outputDiff(m, tr.Row(t)) & all &^ detected
 		if newly == 0 {
 			continue
 		}
@@ -461,7 +365,7 @@ func (o *omitter) runGroup(group []stakeFault, lo, removed int, tg *trialGood, h
 // tryRemove attempts to delete cur[lo:hi]. slack bounds how far past
 // its previous detection time a fault may drift before the removal is
 // (conservatively) rejected. On success the working sequence, the
-// detection times and the committed fault-free data are updated.
+// detection times and the committed fault-free trace are updated.
 func (o *omitter) tryRemove(lo, hi, slack int) bool {
 	// Cancellation/deadline is polled per trial, but trials are not
 	// charged against MaxTrials here: the budget is charged per removal
@@ -496,8 +400,10 @@ func (o *omitter) tryRemove(lo, hi, slack int) bool {
 			o.stakes = append(o.stakes, batchStake{bi: bi, mask: mask, maxDet: maxDet})
 		}
 	}
+	o.trial = append(append(o.trial[:0], o.cur[:lo]...), o.cur[hi:]...)
+	tr := o.good.Edit(o.trial)
 	if len(o.stakes) == 0 {
-		o.commitTrial(lo, hi, nil, o.newTrialGood(lo, removed))
+		o.commitTrial(lo, hi, nil, tr)
 		return true
 	}
 	// Cheapest (earliest-deadline) batches first: failures surface at
@@ -533,7 +439,6 @@ func (o *omitter) tryRemove(lo, hi, slack int) bool {
 	}
 	// Pack the list 64 faults to a machine; the trial fails with the
 	// first failing group.
-	tg := o.newTrialGood(lo, removed)
 	var hits []omitHit
 	for g := 0; g < len(o.stake); g += sim.Slots {
 		end := g + sim.Slots
@@ -541,43 +446,33 @@ func (o *omitter) tryRemove(lo, hi, slack int) bool {
 			end = len(o.stake)
 		}
 		var ok bool
-		hits, ok = o.runGroup(o.stake[g:end], lo, removed, tg, hits)
+		hits, ok = o.runGroup(o.stake[g:end], lo, removed, tr, hits)
 		o.sims++
 		if !ok {
+			tr.Release()
+			if tr.Spliced() {
+				o.cReconv.Inc()
+			}
 			return false
 		}
 	}
-	o.commitHits(lo, hi, hits, tg)
+	o.commitTrial(lo, hi, hits, tr)
 	return true
 }
 
-// commitHits folds per-group detection hits into new detection times and
-// commits the removal.
-func (o *omitter) commitHits(lo, hi int, hits []omitHit, tg *trialGood) {
-	newTimes := make(map[int]int, len(hits))
-	for _, h := range hits {
-		newTimes[h.fi] = h.t
+// commitTrial applies the removal and the re-recorded detection times,
+// and completes the trial's trace to make it the committed one.
+func (o *omitter) commitTrial(lo, hi int, hits []omitHit, tr *sim.Trace) {
+	tr.Complete()
+	if tr.Spliced() {
+		o.cReconv.Inc()
 	}
-	o.commitTrial(lo, hi, newTimes, tg)
-}
-
-// commitTrial applies the removal, the re-recorded detection times and
-// the fault-free data patch. The provider first finishes its span to
-// the reconvergence point (or the sequence end); past that point the
-// committed entries, shifted by the removal, are already correct.
-func (o *omitter) commitTrial(lo, hi int, newTimes map[int]int, tg *trialGood) {
-	tg.ensure(len(o.cur) - tg.removed)
+	o.good = tr
 	o.cRemoved.Add(int64(hi - lo))
 	o.cur = append(o.cur[:lo], o.cur[hi:]...)
 	o.idx = append(o.idx[:lo], o.idx[hi:]...)
-	o.goodImg = append(o.goodImg[:lo], o.goodImg[hi:]...)
-	o.goodRows = append(o.goodRows[:lo], o.goodRows[hi:]...)
-	for i := range tg.rows {
-		o.goodImg[lo+i] = tg.imgs[i]
-		o.goodRows[lo+i] = tg.rows[i]
-	}
-	for fi, t := range newTimes {
-		o.detAt[fi] = t
+	for _, h := range hits {
+		o.detAt[h.fi] = h.t
 	}
 }
 
@@ -598,7 +493,7 @@ func (o *omitter) keptMask(inLen int) string {
 // mask and detection-time array. Positions below the next removal
 // window are untouched by construction (windows run back to front), so
 // the prefix invariant the trial engine relies on still holds; the
-// committed fault-free data is recomputed over the rebuilt sequence.
+// committed fault-free trace is rebuilt for the new sequence.
 func (o *omitter) restoreFrom(kept string, detAt []int) {
 	o.cur = o.cur[:0]
 	o.idx = o.idx[:0]
@@ -609,5 +504,6 @@ func (o *omitter) restoreFrom(kept string, detAt []int) {
 		}
 	}
 	copy(o.detAt, detAt)
-	o.rebuildGood()
+	o.good = o.sim.NewTrace(o.cur)
+	o.good.Complete()
 }

@@ -612,6 +612,11 @@ func broadcast(v logic.Value) (z, o uint64) {
 	}
 }
 
+// ValuePlanes expands one logic value into full 64-slot planes — the
+// broadcast encoding used throughout the simulator, exported for
+// packages that compare machine outputs against fault-free values.
+func ValuePlanes(v logic.Value) (zero, one uint64) { return broadcast(v) }
+
 // planesValue extracts the value of one slot bit from planes.
 func planesValue(z, o, bit uint64) logic.Value {
 	switch {

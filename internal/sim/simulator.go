@@ -127,7 +127,9 @@ func (s *Simulator) Release(m *Machine) { s.pool.Put(m) }
 // machine's planes are uniform across all 64 slots — no faults, inputs
 // broadcast — so slot 0 carries the whole picture and the image costs
 // 2·ceil(nSig/64)+2·ceil(nFF/64) words per vector. Image layout:
-// [sigZero | sigOne | ffZero | ffOne].
+// [sigZero | sigOne | ffZero | ffOne]. A Trace's images have no signal
+// half (sigW is 0): no kernel reads them, and a splice compares only
+// the flip-flop half.
 type goodTrace struct {
 	seq      logic.Sequence
 	m        *Machine
@@ -140,14 +142,16 @@ type goodTrace struct {
 	sigW, ffW  int
 	imgs       [][]uint64
 
-	// Splice source (see linkTail): the evicted trace whose sequence
+	// Splice source (see linkTail): the replaced trace whose sequence
 	// ends in the same vectors. Position p >= srcFrom of this trace runs
 	// the vector of position p-srcOff of src. src is frozen — evicted
-	// with no users, so nothing extends it — and never has a source of
-	// its own. Guarded by mu.
+	// with no users, or complete, so nothing extends it — and never has
+	// a source of its own. spliced records that a splice happened.
+	// Guarded by mu.
 	src     *goodTrace
 	srcFrom int
 	srcOff  int
+	spliced bool
 	owner   *Simulator // for the splice counters
 
 	// Cache bookkeeping, guarded by the owning Simulator's trMu.
@@ -157,8 +161,9 @@ type goodTrace struct {
 }
 
 // newTrace builds the trace for seq/opts, warm-started from old (the
-// trace it is about to replace, or nil) where the two agree.
-func (s *Simulator) newTrace(seq logic.Sequence, opts Options, old *goodTrace) *goodTrace {
+// trace it is about to replace, or nil) where the two agree. ffOnly
+// drops the signal half of the images.
+func (s *Simulator) newTrace(seq logic.Sequence, opts Options, ffOnly bool, old *goodTrace) *goodTrace {
 	tr := &goodTrace{
 		// The header array is copied so the cached trace's key cannot
 		// alias a caller's reused sequence buffer (compaction builds
@@ -172,7 +177,9 @@ func (s *Simulator) newTrace(seq logic.Sequence, opts Options, old *goodTrace) *
 	}
 	if opts.Kernel != KernelFull {
 		tr.withImages = true
-		tr.sigW = (len(s.c.Signals) + 63) / 64
+		if !ffOnly {
+			tr.sigW = (len(s.c.Signals) + 63) / 64
+		}
 		tr.ffW = (len(s.c.FFs) + 63) / 64
 		tr.imgs = make([][]uint64, len(seq))
 	}
@@ -191,15 +198,16 @@ func (s *Simulator) newTrace(seq logic.Sequence, opts Options, old *goodTrace) *
 
 // seedTracePrefix warm-starts a fresh trace from the trace it replaces:
 // a sequence that edits the previous one past its start (omission drops
-// a window, a caller appends vectors) repeats the evicted trace's rows
+// a window, a caller appends vectors) repeats the old trace's rows
 // and images up to the first differing vector verbatim. The shared
 // rows/images are immutable once produced, and the good machine
 // restarts from the flip-flop state the last shared image carries, so
 // producing vector p next is indistinguishable from having stepped
 // 0..p-1. Restoration trials insert in front and share a tail instead;
-// linkTail serves them. Called (from newTrace) under trMu; the old trace
-// may be mid-extension on another goroutine, so its produced counter is
-// read once and only fully-published vectors are shared.
+// linkTail serves them. Called (from newTrace) under trMu or on a
+// complete Trace; a cached old trace may be mid-extension on another
+// goroutine, so its produced counter is read once and only
+// fully-published vectors are shared.
 func (s *Simulator) seedTracePrefix(tr, old *goodTrace) {
 	limit := min(int(old.produced.Load()), len(tr.seq))
 	p := 0
@@ -218,20 +226,21 @@ func (s *Simulator) seedTracePrefix(tr, old *goodTrace) {
 }
 
 // linkTail records old as tr's splice source when the two sequences end
-// in the same vectors and old has produced at least two positions of
-// that tail (a splice compares one and copies from the next). Vector
-// restoration inserts a block in front of the kept vectors, so
-// consecutive trials share a tail; on a scan circuit one scan operation
-// overwrites the state, so their fault-free trajectories soon meet
-// again, and from there on old's rows and images are tr's (see splice).
-// Called under trMu with old unused, so old is frozen.
+// in the same vectors and old has produced at least the first position
+// of that tail (a splice compares it and adopts what follows). Vector
+// restoration inserts a block in front of the kept vectors, and vector
+// omission deletes a window from them, so consecutive trials share a
+// tail; on a scan circuit one scan operation overwrites the state, so
+// their fault-free trajectories soon meet again, and from there on old's
+// rows and images are tr's (see splice). Called with old unused (under
+// trMu) or complete, so old is frozen.
 func (tr *goodTrace) linkTail(old *goodTrace) {
 	n, m := len(tr.seq), len(old.seq)
 	l := 0
 	for l < n && l < m && sameVector(tr.seq[n-1-l], old.seq[m-1-l]) {
 		l++
 	}
-	if l == 0 || int(old.produced.Load()) < m-l+2 {
+	if l == 0 || int(old.produced.Load()) < m-l+1 {
 		return
 	}
 	tr.src, tr.srcFrom, tr.srcOff = old, n-l, n-m
@@ -266,7 +275,7 @@ func (s *Simulator) acquireTrace(seq logic.Sequence, opts Options) *goodTrace {
 	}
 	s.cTraceMiss.Inc()
 	old := s.cached
-	tr := s.newTrace(seq, opts, old)
+	tr := s.newTrace(seq, opts, false, old)
 	tr.refs = 1
 	tr.cached = true
 	if old != nil {
@@ -327,7 +336,8 @@ func (tr *goodTrace) ensure(t int) {
 // the source's state after the same vector. Equal states under equal
 // vectors stay equal, so on a match the source's published rows and
 // images for the rest of the tail are this trace's verbatim: they are
-// adopted (they are immutable once produced), the good machine restarts
+// adopted (they are immutable once produced; a match at the source's
+// last produced position adopts nothing), the good machine restarts
 // from the last adopted image, and the last adopted position is
 // returned. The source is dropped at the splice and once it has nothing
 // beyond p to offer. Called under tr.mu.
@@ -337,13 +347,13 @@ func (tr *goodTrace) splice(p int) int {
 	limit := int(src.produced.Load())
 	if q+1 >= limit {
 		tr.src = nil
-		return p
 	}
 	ff := 2 * tr.sigW
-	if !slices.Equal(tr.imgs[p][ff:], src.imgs[q][ff:]) {
+	if q >= limit || !slices.Equal(tr.imgs[p][ff:], src.imgs[q][ff:]) {
 		return p
 	}
 	tr.src = nil
+	tr.spliced = true
 	end := limit + tr.srcOff
 	copy(tr.rows[p+1:end], src.rows[q+1:limit])
 	copy(tr.imgs[p+1:end], src.imgs[q+1:limit])
@@ -359,10 +369,12 @@ func (tr *goodTrace) splice(p int) int {
 func (tr *goodTrace) captureImage() []uint64 {
 	m := tr.m
 	img := make([]uint64, 2*tr.sigW+2*tr.ffW)
-	for s := range m.zero {
-		w, b := s>>6, uint(s)&63
-		img[w] |= (m.zero[s] & 1) << b
-		img[tr.sigW+w] |= (m.one[s] & 1) << b
+	if tr.sigW > 0 {
+		for s := range m.zero {
+			w, b := s>>6, uint(s)&63
+			img[w] |= (m.zero[s] & 1) << b
+			img[tr.sigW+w] |= (m.one[s] & 1) << b
+		}
 	}
 	base := 2 * tr.sigW
 	for fi := range m.sz {
@@ -371,6 +383,20 @@ func (tr *goodTrace) captureImage() []uint64 {
 		img[base+tr.ffW+w] |= (m.so[fi] & 1) << b
 	}
 	return img
+}
+
+// setStateFromTraceImage restores the flip-flop planes from the
+// flip-flop half of a trace image (layout [sigZero | sigOne | ffZero |
+// ffOne]); the signal half is ignored because the next Step recomputes
+// every signal. Trace images come from the fault-free machine, which is
+// slot-uniform, so the broadcast reproduces the exact state.
+func (m *Machine) setStateFromTraceImage(img []uint64, sigW, ffW int) {
+	base := 2 * sigW
+	for fi := range m.sz {
+		w, b := fi>>6, uint(fi)&63
+		m.sz[fi] = -(img[base+w] >> b & 1)
+		m.so[fi] = -(img[base+ffW+w] >> b & 1)
+	}
 }
 
 // row returns the fault-free output values at vector t, extending the
@@ -389,6 +415,63 @@ func (tr *goodTrace) image(t int) []uint64 {
 		tr.ensure(t)
 	}
 	return tr.imgs[t]
+}
+
+// Trace is a caller-owned fault-free trace of one sequence from the
+// all-X state, produced lazily like the traces Run caches. A trial loop
+// that edits one committed sequence keeps the committed sequence's
+// complete trace and builds each trial's trace with Edit, which steps
+// only between the shared prefix and the point where the trial's state
+// meets the committed trajectory. Its images hold only the flip-flop
+// half, which is all a splice compares.
+type Trace struct{ tr *goodTrace }
+
+// NewTrace returns the trace of seq from the all-X state. As with Run,
+// vectors are compared by identity, so callers must not mutate a
+// vector's contents in place.
+func (s *Simulator) NewTrace(seq logic.Sequence) *Trace {
+	return &Trace{s.newTrace(seq, Options{}, true, nil)}
+}
+
+// Edit completes t and returns the trace of seq, an edit of t's
+// sequence. Positions before the first vector the two do not share are
+// copied from t (seedTracePrefix). If the two end in the same vectors,
+// the first shared-tail position where the two states agree adopts the
+// rest of t (linkTail, splice).
+func (t *Trace) Edit(seq logic.Sequence) *Trace {
+	t.Complete()
+	return &Trace{t.tr.owner.newTrace(seq, Options{}, true, t.tr)}
+}
+
+// Row returns the fault-free output values at position p, producing the
+// trace through p if needed.
+func (t *Trace) Row(p int) []logic.Value { return t.tr.row(p) }
+
+// Spliced reports whether the trace, as far as it has been produced,
+// has met the state of the trace it edits and adopted the rest of it.
+func (t *Trace) Spliced() bool {
+	t.tr.mu.Lock()
+	defer t.tr.mu.Unlock()
+	return t.tr.spliced
+}
+
+// Complete produces every position and releases the trace.
+func (t *Trace) Complete() {
+	t.tr.ensure(len(t.tr.seq) - 1)
+	t.Release()
+}
+
+// Release returns the trace's good machine to the pool and drops its
+// splice source. Produced positions stay readable, but the trace can
+// produce no more. Releasing twice is harmless.
+func (t *Trace) Release() {
+	tr := t.tr
+	tr.mu.Lock()
+	defer tr.mu.Unlock()
+	if tr.m != nil {
+		tr.owner.Release(tr.m)
+		tr.m, tr.src = nil, nil
+	}
 }
 
 // Run fault-simulates seq against faults exactly like the package-level

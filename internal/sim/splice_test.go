@@ -57,7 +57,7 @@ func scanTests(sc *scan.Circuit, rng *rand.Rand, n, funct int) logic.Sequence {
 
 // coldTrace is the fully produced trace of seq on a fresh simulator.
 func coldTrace(c *netlist.Circuit, seq logic.Sequence, opts Options) *goodTrace {
-	tr := NewSimulator(c, 1).newTrace(seq, opts, nil)
+	tr := NewSimulator(c, 1).newTrace(seq, opts, false, nil)
 	tr.ensure(len(seq) - 1)
 	return tr
 }

@@ -2,6 +2,7 @@ package xcheck
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/logic"
 	"repro/internal/sim"
@@ -16,7 +17,8 @@ const traceTrials = 16
 // worker count. Consecutive trials share a tail (and often a prefix), so
 // the pooled runs build their fault-free traces by prefix seeding and
 // tail splicing (docs/ALGORITHMS.md §1) where the cold runs step every
-// vector.
+// vector. An omission-shaped chain then checks sim.Trace's edits
+// (checkTraceEdits).
 func checkTraceReuse(w *Workload) string {
 	if len(w.Seq) == 0 || len(w.Faults) == 0 {
 		return ""
@@ -43,6 +45,39 @@ func checkTraceReuse(w *Workload) string {
 			}
 			cur = nextTrial(cur, w.Seq, rng)
 		}
+	}
+	return checkTraceEdits(w)
+}
+
+// checkTraceEdits runs an omission-shaped chain through sim.Trace: each
+// trial deletes a window below the previous one from the committed
+// sequence, builds its trace with Edit and completes it, and is
+// committed or dropped at random. Every trial trace's rows must equal a
+// cold trace's.
+func checkTraceEdits(w *Workload) string {
+	rng := w.rng(11)
+	s := sim.NewSimulator(w.Design.Scan, 1)
+	cur := w.Seq
+	good := s.NewTrace(cur)
+	good.Complete()
+	for trial, top := 0, len(cur); trial < traceTrials && top > 0; trial++ {
+		lo := rng.Intn(top)
+		hi := lo + 1 + rng.Intn(min(top-lo, 16))
+		next := append(append(logic.Sequence{}, cur[:lo]...), cur[hi:]...)
+		tr := good.Edit(next)
+		tr.Complete()
+		cold := sim.NewSimulator(w.Design.Scan, 1).NewTrace(next)
+		cold.Complete()
+		for p := range next {
+			if !slices.Equal(tr.Row(p), cold.Row(p)) {
+				return fmt.Sprintf("trace-edit trial=%d deleting [%d,%d) of %d vectors: row %d = %v, cold %v",
+					trial, lo, hi, len(cur), p, tr.Row(p), cold.Row(p))
+			}
+		}
+		if rng.Intn(2) == 0 {
+			good, cur = tr, next
+		}
+		top = lo
 	}
 	return ""
 }
