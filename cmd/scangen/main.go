@@ -42,7 +42,6 @@ func main() {
 		printSeq   = flag.Bool("print-seq", false, "with -circuit: print the sequence as a paper-style table")
 		noBaseline = flag.Bool("no-baseline", false, "skip the conventional-scan baseline")
 		noCollapse = flag.Bool("no-collapse", false, "disable fault equivalence collapsing")
-		omitCap    = flag.Int("omit-cap", 0, "skip omission when the restored sequence exceeds this many vectors (0 = never; skips are warned)")
 		engine     = flag.String("compact-engine", "auto", "restoration trial engine: auto, incremental or scratch (output identical)")
 		adiOrder   = flag.Bool("adi-order", false, "restore faults in increasing accidental-detection-index order (changes the output)")
 		chains     = flag.Int("chains", 1, "number of scan chains (generation flow)")
@@ -87,7 +86,6 @@ func main() {
 	cfg.Seed = *seed
 	cfg.Collapse = !*noCollapse
 	cfg.SkipBaseline = *noBaseline
-	cfg.OmitLenCap = *omitCap
 	cfg.Engine = eng
 	if *adiOrder {
 		cfg.Order = compact.OrderADI
@@ -96,7 +94,6 @@ func main() {
 	cfg.Workers = *workers
 	cfg.Control = ctl
 	cfg.Obs = ort.Observer()
-	cfg.Warn = os.Stderr
 
 	switch {
 	case *circuit != "":

@@ -30,7 +30,6 @@ func main() {
 		printTrans = flag.Bool("print-translated", false, "with -circuit: print the translated sequence")
 		printFinal = flag.Bool("print-compacted", false, "with -circuit: print the compacted sequence")
 		noCollapse = flag.Bool("no-collapse", false, "disable fault equivalence collapsing")
-		omitCap    = flag.Int("omit-cap", 0, "skip omission when the restored sequence exceeds this many vectors (0 = never; skips are warned)")
 		engine     = flag.String("compact-engine", "auto", "restoration trial engine: auto, incremental or scratch (output identical)")
 		adiOrder   = flag.Bool("adi-order", false, "restore faults in increasing accidental-detection-index order (changes the output)")
 		verbose    = flag.Bool("v", false, "progress to stderr")
@@ -61,14 +60,12 @@ func main() {
 	cfg := core.DefaultConfig()
 	cfg.Seed = *seed
 	cfg.Collapse = !*noCollapse
-	cfg.OmitLenCap = *omitCap
 	cfg.Engine = eng
 	if *adiOrder {
 		cfg.Order = compact.OrderADI
 	}
 	cfg.Control = ctl
 	cfg.Obs = ort.Observer()
-	cfg.Warn = os.Stderr
 
 	switch {
 	case *circuit != "":

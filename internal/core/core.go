@@ -12,7 +12,6 @@ package core
 
 import (
 	"fmt"
-	"io"
 
 	"repro/internal/baseline"
 	"repro/internal/circuits"
@@ -46,13 +45,6 @@ type Config struct {
 	SkipBaseline bool
 	// SkipCompaction stops after raw generation.
 	SkipCompaction bool
-	// OmitLenCap skips the omission pass when the restored sequence
-	// is longer than this many vectors (0 = never skip, the default).
-	// The cap predates the incremental trial engine, which handles even
-	// the largest catalog circuits uncapped; it is kept as an escape
-	// hatch. A skip is never silent: it emits a "flow"/"omit_skipped"
-	// event and a warning on Warn.
-	OmitLenCap int
 	// Engine selects the restoration trial engine (see
 	// compact.Engine); the zero value is the incremental engine.
 	// Results are identical for every engine.
@@ -60,10 +52,6 @@ type Config struct {
 	// Order selects the restoration target order (see compact.Order).
 	// Unlike Engine, a non-default order changes the compacted output.
 	Order compact.Order
-	// Warn, when non-nil, receives human-readable warnings (currently:
-	// an omission pass skipped by OmitLenCap). Flows never write
-	// anything else to it.
-	Warn io.Writer
 	// Chains selects the number of scan chains for the generation
 	// flow (0 or 1 = the paper's single chain).
 	Chains int
@@ -212,7 +200,7 @@ func RunGenerate(name string, cfg Config) (GenerateRow, *GenerateArtifacts, erro
 			return row, art, rst.Err
 		}
 		omitted, ost := restored, compact.Stats{BeforeLen: len(restored), AfterLen: len(restored)}
-		if !rst.Status.Stopped() && !capSkipsOmit(cfg, name, len(restored)) {
+		if !rst.Status.Stopped() {
 			omitted, ost = compact.OmitOpts(cs, restored, faults, copts)
 			if ost.Status != runctl.Complete {
 				row.Status = ost.Status
@@ -295,24 +283,6 @@ func checkMeta(ctl *runctl.Control, flow, name string, cfg Config) error {
 		}
 	}
 	return ctl.Save("meta", want)
-}
-
-// capSkipsOmit decides whether OmitLenCap suppresses the omission pass
-// for a restored sequence of restoredLen vectors, and makes any skip
-// visible: a "flow"/"omit_skipped" event (plus the flow.omit_skips
-// counter) for observers and a warning line on cfg.Warn for humans.
-func capSkipsOmit(cfg Config, name string, restoredLen int) bool {
-	if cfg.OmitLenCap == 0 || restoredLen <= cfg.OmitLenCap {
-		return false
-	}
-	obs.C(cfg.Obs, "flow.omit_skips").Inc()
-	obs.Emit(cfg.Obs, "flow", "omit_skipped",
-		obs.F("circuit", name), obs.F("len", restoredLen), obs.F("cap", cfg.OmitLenCap))
-	if cfg.Warn != nil {
-		fmt.Fprintf(cfg.Warn, "warning: %s: omission skipped, restored length %d exceeds omit cap %d (raise or drop -omit-cap; the incremental engine handles uncapped runs)\n",
-			name, restoredLen, cfg.OmitLenCap)
-	}
-	return true
 }
 
 // countScan counts the vectors of seq performing a scan shift.
@@ -420,7 +390,7 @@ func RunTranslate(name string, cfg Config) (TranslateRow, *TranslateArtifacts, e
 			return row, art, rst.Err
 		}
 		omitted, ost := restored, compact.Stats{BeforeLen: len(restored), AfterLen: len(restored)}
-		if !rst.Status.Stopped() && !capSkipsOmit(cfg, name, len(restored)) {
+		if !rst.Status.Stopped() {
 			omitted, ost = compact.OmitOpts(sc.Scan, restored, scanFaults, copts)
 			if ost.Status != runctl.Complete {
 				row.Status = ost.Status

@@ -48,18 +48,3 @@ func TestChainsShortenCompactedLength(t *testing.T) {
 		t.Errorf("4 chains compacted to %d, single chain to %d", four.OmitLen, one.OmitLen)
 	}
 }
-
-// TestOmitLenCapSkipsOmission: above the cap, the omit columns equal
-// the restoration columns.
-func TestOmitLenCapSkipsOmission(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.SkipBaseline = true
-	cfg.OmitLenCap = 1 // everything exceeds it
-	row, _, err := RunGenerate("s27", cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if row.OmitLen != row.RestorLen || row.OmitScan != row.RestorScan {
-		t.Errorf("omission ran despite cap: %+v", row)
-	}
-}
