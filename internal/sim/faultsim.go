@@ -113,28 +113,6 @@ func RunSubset(c *netlist.Circuit, seq logic.Sequence, faults []fault.Fault, sub
 	return NewSimulator(c, 1).RunSubset(seq, faults, subset, opts, nil, nil)
 }
 
-// GoodTrace simulates seq fault-free and returns the flip-flop state
-// after each vector (states[t] is the state reached after applying
-// seq[t]) and the primary output values observed at each vector.
-func GoodTrace(c *netlist.Circuit, seq logic.Sequence, initial []logic.Value) (states [][]logic.Value, outputs [][]logic.Value) {
-	m := New(c)
-	if initial != nil {
-		m.SetStateBroadcast(initial)
-	}
-	states = make([][]logic.Value, len(seq))
-	outputs = make([][]logic.Value, len(seq))
-	for t, v := range seq {
-		m.Step(v)
-		states[t] = m.StateSlot(0)
-		row := make([]logic.Value, c.NumOutputs())
-		for po := range row {
-			row[po] = m.OutputSlot(po, 0)
-		}
-		outputs[t] = row
-	}
-	return states, outputs
-}
-
 // FinalState simulates seq fault-free and returns the reached state
 // (all X if seq is empty and initial is nil).
 func FinalState(c *netlist.Circuit, seq logic.Sequence, initial []logic.Value) []logic.Value {

@@ -451,7 +451,9 @@ func TestRunSubset(t *testing.T) {
 	}
 }
 
-func TestGoodTraceAndFinalState(t *testing.T) {
+// TestFinalState: the fault-free state reached from an initial state,
+// including the empty sequence, which keeps the initial state.
+func TestFinalState(t *testing.T) {
 	c := mustParse(t, `
 INPUT(en)
 OUTPUT(q)
@@ -460,20 +462,11 @@ d = XOR(en, q)
 `)
 	seq := logic.Sequence{{logic.One}, {logic.One}, {logic.Zero}}
 	init := []logic.Value{logic.Zero}
-	states, outputs := GoodTrace(c, seq, init)
-	if len(states) != 3 || len(outputs) != 3 {
-		t.Fatal("trace lengths wrong")
-	}
-	// After v0 (en=1): state flips to 1; output during v0 shows old 0.
-	if outputs[0][0] != logic.Zero || states[0][0] != logic.One {
-		t.Errorf("t0: out=%v state=%v", outputs[0][0], states[0][0])
-	}
-	if got := FinalState(c, seq, init); got[0] != states[2][0] {
-		t.Errorf("FinalState = %v, want %v", got[0], states[2][0])
-	}
-	// Empty sequence keeps the initial state.
-	if got := FinalState(c, nil, init); got[0] != logic.Zero {
-		t.Errorf("FinalState(empty) = %v", got[0])
+	// q toggles on en=1: 0 -> 1 -> 0 -> 0.
+	for n, want := range []logic.Value{logic.Zero, logic.One, logic.Zero, logic.Zero} {
+		if got := FinalState(c, seq[:n], init); got[0] != want {
+			t.Errorf("FinalState after %d vectors = %v, want %v", n, got[0], want)
+		}
 	}
 }
 
