@@ -9,8 +9,6 @@ package adi
 
 import (
 	"math/bits"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/fault"
 	"repro/internal/logic"
@@ -28,91 +26,26 @@ func Scores(s *sim.Simulator, seq logic.Sequence, faults []fault.Fault) ([]int, 
 	if len(seq) == 0 || len(faults) == 0 {
 		return counts, 0
 	}
-	c := s.Circuit()
-	nPO := c.NumOutputs()
-
 	// One fault-free pass records the reference output rows.
 	good := s.Acquire()
 	rows := make([][]logic.Value, len(seq))
 	for t, v := range seq {
 		good.Step(v)
-		row := make([]logic.Value, nPO)
-		for po := range row {
-			row[po] = good.OutputSlot(po, 0)
-		}
-		rows[t] = row
+		rows[t] = good.OutputRow()
 	}
 	s.Release(good)
 
-	nBatches := (len(faults) + sim.Slots - 1) / sim.Slots
-	var steps atomic.Int64
-	runBatch := func(m *sim.Machine, bi int) {
-		start := bi * sim.Slots
-		end := start + sim.Slots
-		if end > len(faults) {
-			end = len(faults)
-		}
-		n := end - start
-		m.ClearFaults()
+	// Batches write disjoint counts ranges.
+	s.ForEachBatch(len(faults), func(m *sim.Machine, lo, hi int) {
+		m.InjectBatch(faults[lo:hi])
 		m.Reset()
-		for k, f := range faults[start:end] {
-			if err := m.InjectFault(f, uint64(1)<<uint(k)); err != nil {
-				panic(err)
-			}
-		}
-		allMask := sim.AllSlots
-		if n < sim.Slots {
-			allMask = (uint64(1) << uint(n)) - 1
-		}
 		for t, v := range seq {
 			m.Step(v)
-			row := rows[t]
-			var det uint64
-			for po := range row {
-				if !row[po].IsBinary() {
-					continue
-				}
-				gz, gd := sim.ValuePlanes(row[po])
-				fz, fd := m.OutputPlanes(po)
-				det |= sim.DetectMask(gz, gd, fz, fd)
-			}
-			for mm := det & allMask; mm != 0; mm &= mm - 1 {
-				counts[start+bits.TrailingZeros64(mm)]++
+			for d := m.OutputDiff(rows[t]); d != 0; d &= d - 1 {
+				counts[lo+bits.TrailingZeros64(d)]++
 			}
 		}
-		steps.Add(int64(len(seq)))
-	}
-
-	nw := s.Workers()
-	if nw > nBatches {
-		nw = nBatches
-	}
-	if nw <= 1 {
-		m := s.Acquire()
-		for bi := 0; bi < nBatches; bi++ {
-			runBatch(m, bi)
-		}
-		s.Release(m)
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < nw; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				m := s.Acquire()
-				defer s.Release(m)
-				for {
-					bi := int(next.Add(1)) - 1
-					if bi >= nBatches {
-						return
-					}
-					// Batches write disjoint counts ranges.
-					runBatch(m, bi)
-				}
-			}()
-		}
-		wg.Wait()
-	}
-	return counts, steps.Load()
+	})
+	nBatches := (len(faults) + sim.Slots - 1) / sim.Slots
+	return counts, int64(nBatches) * int64(len(seq))
 }

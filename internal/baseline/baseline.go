@@ -12,9 +12,6 @@
 package baseline
 
 import (
-	"sync"
-	"sync/atomic"
-
 	"repro/internal/combatpg"
 	"repro/internal/fault"
 	"repro/internal/logic"
@@ -98,14 +95,14 @@ func Generate(c *netlist.Circuit, faults []fault.Fault, opts Options) Result {
 		if r.Status != combatpg.Success {
 			continue
 		}
-		fillX(r.State, rng)
-		fillX(r.Vector, rng)
+		r.State.FillX(rng)
+		r.Vector.FillX(rng)
 		test := translate.ScanTest{SI: r.State, T: logic.Sequence{r.Vector}}
 
 		// Greedy extension: append functional vectors while they
 		// increase the number of faults this test detects ("second
 		// approach": several primary input vectors between scans).
-		prev := simulateTest(s, test, faults, detected)
+		prev := s.RunScanTest(test.SI, test.T, faults, detected)
 		frame := combatpg.NewGenerator(c, combatpg.Options{
 			ObservePPO:    true,
 			MaxBacktracks: opts.PodemBacktracks / 2,
@@ -113,7 +110,7 @@ func Generate(c *netlist.Circuit, faults []fault.Fault, opts Options) Result {
 		for ext := 0; ext < opts.MaxExtension; ext++ {
 			cand := nextVector(s, test, faults, detected, prev, frame, rng)
 			trial := translate.ScanTest{SI: test.SI, T: append(test.T.Clone(), cand)}
-			got := simulateTest(s, trial, faults, detected)
+			got := s.RunScanTest(trial.SI, trial.T, faults, detected)
 			if len(got) <= len(prev) {
 				break
 			}
@@ -156,7 +153,7 @@ func nextVector(s *sim.Simulator, test translate.ScanTest, faults []fault.Fault,
 			break
 		}
 		if r := frame.Generate(faults[fi]); r.Status == combatpg.Success {
-			fillX(r.Vector, rng)
+			r.Vector.FillX(rng)
 			return r.Vector
 		}
 	}
@@ -177,140 +174,6 @@ func stateAfter(s *sim.Simulator, test translate.ScanTest) []logic.Value {
 		m.Step(v)
 	}
 	return m.StateSlot(0)
-}
-
-// SimulateTest fault-simulates one conventional test: both circuits
-// start at SI (scan-in is assumed fault-free for the original circuit's
-// faults, the standard model for the first and second approaches),
-// outputs are observed during T, and the final state is observed via
-// the scan-out. It returns the indices of newly detected faults;
-// skip[i] >= 0 marks faults to ignore.
-func SimulateTest(c *netlist.Circuit, test translate.ScanTest, faults []fault.Fault, skip []int) []int {
-	return simulateTest(sim.NewSimulator(c, 1), test, faults, skip)
-}
-
-// simulateTest is SimulateTest drawing machines from a simulator pool
-// and fanning the 64-fault batches out across its workers. Batch
-// results are reassembled in fault order, so the returned indices are
-// identical for every worker count.
-func simulateTest(s *sim.Simulator, test translate.ScanTest, faults []fault.Fault, skip []int) []int {
-	c := s.Circuit()
-	good := s.Acquire()
-	good.SetStateBroadcast(test.SI)
-	nPO := c.NumOutputs()
-	goodPO := make([][]logic.Value, len(test.T))
-	for t, v := range test.T {
-		good.Step(v)
-		row := make([]logic.Value, nPO)
-		for po := range row {
-			row[po] = good.OutputSlot(po, 0)
-		}
-		goodPO[t] = row
-	}
-	goodFinal := good.StateSlot(0)
-	s.Release(good)
-
-	var idx []int
-	for fi := range faults {
-		if skip != nil && skip[fi] >= 0 {
-			continue
-		}
-		idx = append(idx, fi)
-	}
-	if len(idx) == 0 {
-		return nil
-	}
-	nBatches := (len(idx) + sim.Slots - 1) / sim.Slots
-	results := make([][]int, nBatches)
-	runBatch := func(m *sim.Machine, bi int) {
-		start := bi * sim.Slots
-		end := start + sim.Slots
-		if end > len(idx) {
-			end = len(idx)
-		}
-		batch := idx[start:end]
-		m.ClearFaults()
-		m.Reset()
-		m.SetStateBroadcast(test.SI)
-		for k, fi := range batch {
-			if err := m.InjectFault(faults[fi], uint64(1)<<uint(k)); err != nil {
-				panic(err)
-			}
-		}
-		var det uint64
-		for t, v := range test.T {
-			m.Step(v)
-			for po := 0; po < nPO; po++ {
-				if !goodPO[t][po].IsBinary() {
-					continue
-				}
-				gz, gd := valuePlanes(goodPO[t][po])
-				fz, fd := m.OutputPlanes(po)
-				det |= sim.DetectMask(gz, gd, fz, fd)
-			}
-		}
-		// Scan-out: any definite final-state difference is observed.
-		for fi := 0; fi < c.NumFFs(); fi++ {
-			if !goodFinal[fi].IsBinary() {
-				continue
-			}
-			gz, gd := valuePlanes(goodFinal[fi])
-			fz, fd := m.FFPlanes(fi)
-			// A fault on this flip-flop's D pin latches its stuck
-			// value in the faulty circuit.
-			for k, bi := range batch {
-				if faults[bi].Site.FF == int32(fi) {
-					sz, so := valuePlanes(faults[bi].SA)
-					bit := uint64(1) << uint(k)
-					fz = fz&^bit | sz&bit
-					fd = fd&^bit | so&bit
-				}
-			}
-			det |= sim.DetectMask(gz, gd, fz, fd)
-		}
-		var out []int
-		for k, fi := range batch {
-			if det&(uint64(1)<<uint(k)) != 0 {
-				out = append(out, fi)
-			}
-		}
-		results[bi] = out
-	}
-	nw := s.Workers()
-	if nw > nBatches {
-		nw = nBatches
-	}
-	if nw <= 1 {
-		m := s.Acquire()
-		for bi := 0; bi < nBatches; bi++ {
-			runBatch(m, bi)
-		}
-		s.Release(m)
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < nw; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				m := s.Acquire()
-				defer s.Release(m)
-				for {
-					bi := int(next.Add(1)) - 1
-					if bi >= nBatches {
-						return
-					}
-					runBatch(m, bi)
-				}
-			}()
-		}
-		wg.Wait()
-	}
-	var out []int
-	for _, r := range results {
-		out = append(out, r...)
-	}
-	return out
 }
 
 // reverseOrderCompact drops tests that detect nothing the remaining
@@ -335,7 +198,7 @@ func reverseOrderCompact(s *sim.Simulator, tests []translate.ScanTest, faults []
 				skip[i] = 0 // skip
 			}
 		}
-		det := simulateTest(s, tests[ti], faults, skip)
+		det := s.RunScanTest(tests[ti].SI, tests[ti].T, faults, skip)
 		if len(det) == 0 {
 			continue
 		}
@@ -360,23 +223,4 @@ func reverseOrderCompact(s *sim.Simulator, tests []translate.ScanTest, faults []
 		}
 	}
 	return outTests, outDet
-}
-
-func fillX(v logic.Vector, rng *logic.RandFiller) {
-	for i, x := range v {
-		if x == logic.X {
-			v[i] = rng.Next()
-		}
-	}
-}
-
-func valuePlanes(v logic.Value) (z, o uint64) {
-	switch v {
-	case logic.Zero:
-		return sim.AllSlots, 0
-	case logic.One:
-		return 0, sim.AllSlots
-	default:
-		return sim.AllSlots, sim.AllSlots
-	}
 }

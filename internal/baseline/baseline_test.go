@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/circuits"
 	"repro/internal/fault"
+	"repro/internal/sim"
 	"repro/internal/translate"
 )
 
@@ -55,7 +56,8 @@ func TestDetectedByConsistent(t *testing.T) {
 		if ti >= len(res.Tests) {
 			t.Fatalf("fault %d detected by out-of-range test %d", fi, ti)
 		}
-		det := SimulateTest(c, res.Tests[ti], faults[fi:fi+1], nil)
+		test := res.Tests[ti]
+		det := sim.NewSimulator(c, 1).RunScanTest(test.SI, test.T, faults[fi:fi+1], nil)
 		if len(det) != 1 || det[0] != 0 {
 			t.Errorf("fault %s not actually detected by test %d", faults[fi].Name(c), ti)
 		}
@@ -114,7 +116,8 @@ func TestSimulateTestSkip(t *testing.T) {
 	for i := range skip {
 		skip[i] = 0 // skip everything
 	}
-	if det := SimulateTest(c, res.Tests[0], faults, skip); len(det) != 0 {
+	test := res.Tests[0]
+	if det := sim.NewSimulator(c, 1).RunScanTest(test.SI, test.T, faults, skip); len(det) != 0 {
 		t.Error("skip list ignored")
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/logic"
 	"repro/internal/netlist"
+	"repro/internal/sim"
 )
 
 func mustParse(t *testing.T, text string) *netlist.Circuit {
@@ -205,9 +206,9 @@ func TestPodemResultsVerifiedBySimulation(t *testing.T) {
 		}
 		successes++
 		rng := logic.NewRandFiller(uint64(fi + 1))
-		fillX(r.State, rng)
-		fillX(r.Vector, rng)
-		det := SimulateFrame(c, r.State, r.Vector, faults, nil)
+		r.State.FillX(rng)
+		r.Vector.FillX(rng)
+		det := sim.NewSimulator(c, 1).RunScanTest(r.State, logic.Sequence{r.Vector}, faults, nil)
 		found := false
 		for _, di := range det {
 			if di == fi {

@@ -41,10 +41,12 @@ func (r TestSetResult) NumDetected() int {
 // GenerateTestSet runs the first-approach flow on circuit c (the
 // original, non-scan circuit): for every fault, PODEM with full state
 // controllability and next-state observability; after each new test,
-// single-frame fault simulation drops additionally detected faults.
-// Don't-care positions are filled pseudo-randomly from seed.
+// single-frame fault simulation (sim.Simulator.RunScanTest) drops every
+// further fault it detects. Don't-care positions are filled
+// pseudo-randomly from seed.
 func GenerateTestSet(c *netlist.Circuit, faults []fault.Fault, seed uint64) TestSetResult {
 	gen := NewGenerator(c, Options{AssignState: true, ObservePPO: true})
+	s := sim.NewSimulator(c, 1)
 	rng := logic.NewRandFiller(seed)
 	res := TestSetResult{DetectedBy: make([]int, len(faults))}
 	for i := range res.DetectedBy {
@@ -63,116 +65,16 @@ func GenerateTestSet(c *netlist.Circuit, faults []fault.Fault, seed uint64) Test
 			res.Aborted++
 			continue
 		}
-		fillX(r.State, rng)
-		fillX(r.Vector, rng)
+		r.State.FillX(rng)
+		r.Vector.FillX(rng)
 		ti := len(res.Tests)
 		res.Tests = append(res.Tests, Test{State: r.State, Vector: r.Vector})
 		// Drop every remaining fault the new test detects.
-		drops := SimulateFrame(c, r.State, r.Vector, faults, res.DetectedBy)
-		for _, di := range drops {
+		for _, di := range s.RunScanTest(r.State, logic.Sequence{r.Vector}, faults, res.DetectedBy) {
 			res.DetectedBy[di] = ti
 		}
 	}
 	return res
-}
-
-func fillX(v logic.Vector, rng *logic.RandFiller) {
-	for i, x := range v {
-		if x == logic.X {
-			v[i] = rng.Next()
-		}
-	}
-}
-
-// SimulateFrame fault-simulates a single frame (state, vector) and
-// returns the indices of faults newly detected at a primary output or a
-// flip-flop data input. skip[i] >= 0 marks already-detected faults.
-func SimulateFrame(c *netlist.Circuit, state, vector logic.Vector, faults []fault.Fault, skip []int) []int {
-	var detectedIdx []int
-	good := sim.New(c)
-	good.SetStateBroadcast(state)
-	good.Step(vector)
-	nPO := c.NumOutputs()
-	goodPO := make([]logic.Value, nPO)
-	for po := range goodPO {
-		goodPO[po] = good.OutputSlot(po, 0)
-	}
-	goodD := make([]logic.Value, c.NumFFs())
-	for fi, ff := range c.FFs {
-		z, o := good.SignalPlanes(ff.D)
-		goodD[fi] = planeValue(z, o, 0)
-	}
-
-	m := sim.New(c)
-	var batch []int
-	flush := func() {
-		if len(batch) == 0 {
-			return
-		}
-		m.ClearFaults()
-		m.SetStateBroadcast(state)
-		for k, fi := range batch {
-			if err := m.InjectFault(faults[fi], uint64(1)<<uint(k)); err != nil {
-				panic(err)
-			}
-		}
-		m.Step(vector)
-		var det uint64
-		for po := 0; po < nPO; po++ {
-			if !goodPO[po].IsBinary() {
-				continue
-			}
-			gz, gd := valuePlanes(goodPO[po])
-			fz, fd := m.OutputPlanes(po)
-			det |= sim.DetectMask(gz, gd, fz, fd)
-		}
-		for fi, ff := range c.FFs {
-			if !goodD[fi].IsBinary() {
-				continue
-			}
-			gz, gd := valuePlanes(goodD[fi])
-			fz, fd := m.SignalPlanes(ff.D)
-			// A fault on this flip-flop's D pin forces the latched
-			// value for its own slot.
-			for k, bi := range batch {
-				if faults[bi].Site.FF == int32(fi) {
-					sz, so := valuePlanes(faults[bi].SA)
-					bit := uint64(1) << uint(k)
-					fz = fz&^bit | sz&bit
-					fd = fd&^bit | so&bit
-				}
-			}
-			det |= sim.DetectMask(gz, gd, fz, fd)
-		}
-		for k, fi := range batch {
-			if det&(uint64(1)<<uint(k)) != 0 {
-				detectedIdx = append(detectedIdx, fi)
-			}
-		}
-		batch = batch[:0]
-	}
-	for fi := range faults {
-		if skip != nil && skip[fi] >= 0 {
-			continue
-		}
-		batch = append(batch, fi)
-		if len(batch) == sim.Slots {
-			flush()
-		}
-	}
-	flush()
-	return detectedIdx
-}
-
-func valuePlanes(v logic.Value) (z, o uint64) {
-	switch v {
-	case logic.Zero:
-		return sim.AllSlots, 0
-	case logic.One:
-		return 0, sim.AllSlots
-	default:
-		return sim.AllSlots, sim.AllSlots
-	}
 }
 
 // Untested returns the fault indices of r that no test detects.

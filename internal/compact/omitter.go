@@ -1,9 +1,6 @@
 package compact
 
 import (
-	"sync"
-	"sync/atomic"
-
 	"repro/internal/fault"
 	"repro/internal/logic"
 	"repro/internal/obs"
@@ -163,20 +160,10 @@ func newOmitter(s *sim.Simulator, seq logic.Sequence, faults []fault.Fault) *omi
 	o.batches = make([]*omitBatch, nBatches)
 	o.winStates = make([]sim.State, nBatches)
 	o.winHave = make([]bool, nBatches)
-	initBatch := func(m *sim.Machine, bi int) {
-		start := bi * sim.Slots
-		end := start + sim.Slots
-		if end > len(faults) {
-			end = len(faults)
-		}
-		b := &omitBatch{start: start, n: end - start, faults: faults[start:end]}
-		m.ClearFaults()
+	s.ForEachBatch(len(faults), func(m *sim.Machine, lo, hi int) {
+		b := &omitBatch{start: lo, n: hi - lo, faults: faults[lo:hi]}
+		m.InjectBatch(b.faults)
 		m.Reset()
-		for k, f := range b.faults {
-			if err := m.InjectFault(f, uint64(1)<<uint(k)); err != nil {
-				panic(err)
-			}
-		}
 		allMask := o.batchMask(b)
 		var detected uint64
 		for t, v := range seq {
@@ -186,38 +173,8 @@ func newOmitter(s *sim.Simulator, seq logic.Sequence, faults []fault.Fault) *omi
 			m.Step(v)
 			detected |= o.detectStep(m, b, o.good.Row(t), detected, allMask, t)
 		}
-		o.batches[bi] = b
-	}
-	nw := s.Workers()
-	if nw > nBatches {
-		nw = nBatches
-	}
-	if nw <= 1 {
-		m := s.Acquire()
-		for bi := 0; bi < nBatches; bi++ {
-			initBatch(m, bi)
-		}
-		s.Release(m)
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < nw; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				m := s.Acquire()
-				defer s.Release(m)
-				for {
-					bi := int(next.Add(1)) - 1
-					if bi >= nBatches {
-						return
-					}
-					initBatch(m, bi)
-				}
-			}()
-		}
-		wg.Wait()
-	}
+		o.batches[lo/sim.Slots] = b
+	})
 	o.sims += nBatches
 	o.steps += int64(nBatches) * int64(len(seq))
 	return o
@@ -249,27 +206,13 @@ func (o *omitter) batchMask(b *omitBatch) uint64 {
 // records first detections into detAt at time t, and returns the newly
 // detected mask.
 func (o *omitter) detectStep(m *sim.Machine, b *omitBatch, goodRow []logic.Value, detected, allMask uint64, t int) uint64 {
-	newly := outputDiff(m, goodRow) & allMask &^ detected
+	newly := m.OutputDiff(goodRow) & allMask &^ detected
 	for k := 0; k < b.n; k++ {
 		if newly&(uint64(1)<<uint(k)) != 0 {
 			o.detAt[b.start+k] = t
 		}
 	}
 	return newly
-}
-
-// outputDiff returns the slots whose primary outputs on m definitely
-// differ from the fault-free row.
-func outputDiff(m *sim.Machine, row []logic.Value) uint64 {
-	var diff uint64
-	for po, gv := range row {
-		if gv.IsBinary() {
-			gz, gd := sim.ValuePlanes(gv)
-			fz, fd := m.OutputPlanes(po)
-			diff |= sim.DetectMask(gz, gd, fz, fd)
-		}
-	}
-	return diff
 }
 
 type omitHit struct{ fi, t int }
@@ -285,12 +228,7 @@ func (o *omitter) windowState(bi int) *sim.State {
 	}
 	b := o.batches[bi]
 	m := o.replay
-	m.ClearFaults()
-	for k, f := range b.faults {
-		if err := m.InjectFault(f, uint64(1)<<uint(k)); err != nil {
-			panic(err)
-		}
-	}
+	m.InjectBatch(b.faults)
 	j := o.winLo / o.stride
 	if j >= len(b.ckpts) {
 		j = len(b.ckpts) - 1
@@ -346,7 +284,7 @@ func (o *omitter) runGroup(group []stakeFault, lo, removed int, tr *sim.Trace, h
 		}
 		m.Step(o.cur[t+removed])
 		o.steps++
-		newly := outputDiff(m, tr.Row(t)) & all &^ detected
+		newly := m.OutputDiff(tr.Row(t)) & all &^ detected
 		if newly == 0 {
 			continue
 		}

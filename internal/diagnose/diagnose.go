@@ -11,9 +11,8 @@
 package diagnose
 
 import (
+	"math/bits"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/fault"
 	"repro/internal/logic"
@@ -55,92 +54,33 @@ func BuildWith(s *sim.Simulator, seq logic.Sequence, faults []fault.Fault) *Dict
 	if len(seq) == 0 || len(faults) == 0 {
 		return d
 	}
-	c := s.Circuit()
 	good := s.Acquire()
-	nPO := c.NumOutputs()
-	goodPO := make([][]logic.Value, len(seq))
+	rows := make([][]logic.Value, len(seq))
 	for t, v := range seq {
 		good.Step(v)
-		row := make([]logic.Value, nPO)
-		for po := range row {
-			row[po] = good.OutputSlot(po, 0)
-		}
-		goodPO[t] = row
+		rows[t] = good.OutputRow()
 	}
 	s.Release(good)
 
-	nBatches := (len(faults) + sim.Slots - 1) / sim.Slots
-	runBatch := func(m *sim.Machine, bi int) {
-		start := bi * sim.Slots
-		end := start + sim.Slots
-		if end > len(faults) {
-			end = len(faults)
-		}
-		batch := faults[start:end]
-		m.ClearFaults()
+	s.ForEachBatch(len(faults), func(m *sim.Machine, lo, hi int) {
+		m.InjectBatch(faults[lo:hi])
 		m.Reset()
-		for k, f := range batch {
-			if err := m.InjectFault(f, uint64(1)<<uint(k)); err != nil {
-				panic(err)
-			}
-		}
 		for t, v := range seq {
 			m.Step(v)
-			for po := 0; po < nPO; po++ {
-				gv := goodPO[t][po]
+			for po, gv := range rows[t] {
 				if !gv.IsBinary() {
 					continue
 				}
-				gz, gd := planes(gv)
+				gz, gd := sim.ValuePlanes(gv)
 				fz, fd := m.OutputPlanes(po)
-				mask := sim.DetectMask(gz, gd, fz, fd)
-				for k := range batch {
-					if mask&(uint64(1)<<uint(k)) != 0 {
-						d.Signatures[start+k] = append(d.Signatures[start+k],
-							Observation{Time: t, Output: po})
-					}
+				for mask := sim.DetectMask(gz, gd, fz, fd); mask != 0; mask &= mask - 1 {
+					k := lo + bits.TrailingZeros64(mask)
+					d.Signatures[k] = append(d.Signatures[k], Observation{Time: t, Output: po})
 				}
 			}
 		}
-	}
-	nw := s.Workers()
-	if nw > nBatches {
-		nw = nBatches
-	}
-	if nw <= 1 {
-		m := s.Acquire()
-		for bi := 0; bi < nBatches; bi++ {
-			runBatch(m, bi)
-		}
-		s.Release(m)
-		return d
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < nw; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			m := s.Acquire()
-			defer s.Release(m)
-			for {
-				bi := int(next.Add(1)) - 1
-				if bi >= nBatches {
-					return
-				}
-				runBatch(m, bi)
-			}
-		}()
-	}
-	wg.Wait()
+	})
 	return d
-}
-
-func planes(v logic.Value) (z, o uint64) {
-	if v == logic.Zero {
-		return ^uint64(0), 0
-	}
-	return 0, ^uint64(0)
 }
 
 // Candidate is one ranked diagnosis result.

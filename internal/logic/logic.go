@@ -262,14 +262,19 @@ func (r *RandFiller) Intn(n int) int {
 	return int(r.Uint64() % uint64(n))
 }
 
-// FillX replaces every X in the sequence with a pseudo-random binary
-// value from r, in place.
+// FillX replaces every X in the vector with a pseudo-random binary
+// value from r, in place, drawing once per X in position order.
+func (v Vector) FillX(r *RandFiller) {
+	for i, x := range v {
+		if x == X {
+			v[i] = r.Next()
+		}
+	}
+}
+
+// FillX fills every vector of the sequence in order (Vector.FillX).
 func (s Sequence) FillX(r *RandFiller) {
 	for _, v := range s {
-		for i, x := range v {
-			if x == X {
-				v[i] = r.Next()
-			}
-		}
+		v.FillX(r)
 	}
 }

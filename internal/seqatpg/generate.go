@@ -417,12 +417,12 @@ func (a *attempter) withFlush(goodState, faultyState []logic.Value, prefix logic
 	a.cFlushVectors.Add(int64(len(fv)))
 	for _, v := range fv {
 		w := v.Clone()
-		fillRandom(w, rng)
+		w.FillX(rng)
 		seq = append(seq, w)
 	}
 	obs := logic.NewVector(c.NumInputs())
 	obs[a.sc.SelInput()] = logic.Zero
-	fillRandom(obs, rng)
+	obs.FillX(rng)
 	seq = append(seq, obs)
 
 	det := a.simulateDetect(goodState, faultyState, seq)
@@ -443,8 +443,8 @@ func (a *attempter) justifyAttempt(f fault.Fault, goodState, faultyState []logic
 	if r.Status != combatpg.Success {
 		return nil, -1, false
 	}
-	fillRandom(r.State, rng)
-	fillRandom(r.Vector, rng)
+	r.State.FillX(rng)
+	r.Vector.FillX(rng)
 	scanin, err := a.sc.ScanInSequence(r.State)
 	if err != nil {
 		return nil, -1, false
@@ -452,7 +452,7 @@ func (a *attempter) justifyAttempt(f fault.Fault, goodState, faultyState []logic
 	seq := make(logic.Sequence, 0, len(scanin)+2+a.sc.NumStateVars())
 	for _, v := range scanin {
 		w := v.Clone()
-		fillRandom(w, rng)
+		w.FillX(rng)
 		seq = append(seq, w)
 	}
 	seq = append(seq, r.Vector)
@@ -479,7 +479,7 @@ func (a *attempter) simulateDetect(goodState, faultyState []logic.Value, seq log
 		for po := 0; po < c.NumOutputs(); po++ {
 			gz, gd := a.mg.OutputPlanes(po)
 			fz, fd := a.mf.OutputPlanes(po)
-			if effectMask(gz, gd, fz, fd)&1 != 0 {
+			if sim.DetectMask(gz, gd, fz, fd)&1 != 0 {
 				return t
 			}
 		}
@@ -499,7 +499,7 @@ func (a *attempter) candidates(f fault.Fault, pod *combatpg.Generator, rng *logi
 		a.cPodemBacktrack.Add(int64(r.Backtracks))
 		if r.Status == combatpg.Success {
 			v := r.Vector
-			fillRandom(v, rng)
+			v.FillX(rng)
 			cands = append(cands, v)
 		}
 	}
@@ -513,24 +513,6 @@ func (a *attempter) candidates(f fault.Fault, pod *combatpg.Generator, rng *logi
 	return cands
 }
 
-func fillRandom(v logic.Vector, rng *logic.RandFiller) {
-	for i, x := range v {
-		if x == logic.X {
-			v[i] = rng.Next()
-		}
-	}
-}
-
-// effectMask returns, per slot, whether the good and faulty planes hold
-// definite opposite values.
-func effectMask(gz, gd, fz, fd uint64) uint64 {
-	g0 := gz &^ gd
-	g1 := gd &^ gz
-	f0 := fz &^ fd
-	f1 := fd &^ fz
-	return (g0 & f1) | (g1 & f0)
-}
-
 // pickBest scores every candidate slot after a StepMulti on both
 // machines and returns the best slot and whether it detects the fault
 // at a primary output.
@@ -540,7 +522,7 @@ func (a *attempter) pickBest(f fault.Fault, n int, rng *logic.RandFiller) (int, 
 	for po := 0; po < c.NumOutputs(); po++ {
 		gz, gd := a.mg.OutputPlanes(po)
 		fz, fd := a.mf.OutputPlanes(po)
-		detect |= effectMask(gz, gd, fz, fd)
+		detect |= sim.DetectMask(gz, gd, fz, fd)
 	}
 	nMask := sim.AllSlots
 	if n < sim.Slots {
@@ -555,7 +537,7 @@ func (a *attempter) pickBest(f fault.Fault, n int, rng *logic.RandFiller) (int, 
 	for fi := 0; fi < c.NumFFs(); fi++ {
 		gz, gd := a.mg.FFPlanes(fi)
 		fz, fd := a.mf.FFPlanes(fi)
-		em := effectMask(gz, gd, fz, fd) & nMask
+		em := sim.DetectMask(gz, gd, fz, fd) & nMask
 		for m := em; m != 0; m &= m - 1 {
 			k := bits.TrailingZeros64(m)
 			scores[k] += 10000 + a.depthBonus[fi]
@@ -566,7 +548,7 @@ func (a *attempter) pickBest(f fault.Fault, n int, rng *logic.RandFiller) (int, 
 		sig := netlist.SignalID(s)
 		gz, gd := a.mg.SignalPlanes(sig)
 		fz, fd := a.mf.SignalPlanes(sig)
-		em := effectMask(gz, gd, fz, fd) & nMask
+		em := sim.DetectMask(gz, gd, fz, fd) & nMask
 		for m := em; m != 0; m &= m - 1 {
 			k := bits.TrailingZeros64(m)
 			if scores[k] < 10000 { // cap below the latched-effect band
@@ -608,7 +590,7 @@ func (a *attempter) deepestLatchedEffect() int {
 	for fi := c.NumFFs() - 1; fi >= 0; fi-- {
 		gz, gd := a.mg.FFPlanes(fi)
 		fz, fd := a.mf.FFPlanes(fi)
-		if effectMask(gz, gd, fz, fd)&1 != 0 {
+		if sim.DetectMask(gz, gd, fz, fd)&1 != 0 {
 			return fi
 		}
 	}

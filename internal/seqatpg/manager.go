@@ -1,6 +1,7 @@
 package seqatpg
 
 import (
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -20,18 +21,16 @@ const minParallelBatches = 8
 // simulation step per batch instead of a re-simulation of the whole
 // sequence.
 type faultBatch struct {
-	m      *sim.Machine
-	global []int  // global fault indices, slot-aligned
-	alive  uint64 // slots not yet detected
-	newly  []int  // per-Append scratch: indices detected this vector
+	m     *sim.Machine
+	lo    int    // global index of the fault in slot 0
+	alive uint64 // slots not yet detected
+	newly []int  // per-Append scratch: indices detected this vector
 }
 
 // Manager tracks the good circuit state and every undetected fault's
 // faulty state as the test sequence grows vector by vector.
 type Manager struct {
-	c       *netlist.Circuit
 	sim     *sim.Simulator
-	faults  []fault.Fault
 	good    *sim.Machine
 	batches []*faultBatch
 
@@ -51,29 +50,24 @@ func NewManager(c *netlist.Circuit, faults []fault.Fault) *Manager {
 // batches across the workers of) an existing simulator. Call Close when
 // the manager is no longer needed to return its machines to the pool.
 func NewManagerSim(s *sim.Simulator, faults []fault.Fault) *Manager {
+	return newManager(s, len(faults), func(m *sim.Machine, lo, hi int) { m.InjectBatch(faults[lo:hi]) })
+}
+
+// newManager builds a Manager over n faults of any model: inject loads
+// faults [lo, hi) into a fresh machine, fault lo+k in slot k.
+func newManager(s *sim.Simulator, n int, inject func(m *sim.Machine, lo, hi int)) *Manager {
 	mgr := &Manager{
-		c:          s.Circuit(),
 		sim:        s,
-		faults:     faults,
 		good:       s.Acquire(),
-		DetectedAt: make([]int, len(faults)),
+		DetectedAt: make([]int, n),
 	}
 	for i := range mgr.DetectedAt {
 		mgr.DetectedAt[i] = sim.NotDetected
 	}
-	for start := 0; start < len(faults); start += sim.Slots {
-		end := start + sim.Slots
-		if end > len(faults) {
-			end = len(faults)
-		}
-		b := &faultBatch{m: s.Acquire()}
-		for k := start; k < end; k++ {
-			b.global = append(b.global, k)
-			if err := b.m.InjectFault(faults[k], uint64(1)<<uint(k-start)); err != nil {
-				panic(err)
-			}
-			b.alive |= uint64(1) << uint(k-start)
-		}
+	for lo := 0; lo < n; lo += sim.Slots {
+		hi := min(lo+sim.Slots, n)
+		b := &faultBatch{m: s.Acquire(), lo: lo, alive: sim.AllSlots >> uint(sim.Slots-(hi-lo))}
+		inject(b.m, lo, hi)
 		mgr.batches = append(mgr.batches, b)
 	}
 	return mgr
@@ -127,11 +121,7 @@ func (mgr *Manager) locate(i int) (*faultBatch, int) {
 // batch order, so the result is identical to serial stepping.
 func (mgr *Manager) Append(v logic.Vector) []int {
 	mgr.good.Step(v)
-	nPO := mgr.c.NumOutputs()
-	goodVals := make([]logic.Value, nPO)
-	for po := 0; po < nPO; po++ {
-		goodVals[po] = mgr.good.OutputSlot(po, 0)
-	}
+	goodVals := mgr.good.OutputRow()
 	nw := mgr.sim.Workers()
 	if nw > len(mgr.batches) {
 		nw = len(mgr.batches)
@@ -181,26 +171,16 @@ func (mgr *Manager) stepBatch(b *faultBatch, v logic.Vector, goodVals []logic.Va
 		return nil
 	}
 	b.m.Step(v)
-	var det uint64
-	for po := range goodVals {
-		if !goodVals[po].IsBinary() {
-			continue
-		}
-		gz, gd := valuePlanes(goodVals[po])
-		fz, fd := b.m.OutputPlanes(po)
-		det |= sim.DetectMask(gz, gd, fz, fd)
-	}
-	det &= b.alive
+	det := b.m.OutputDiff(goodVals) & b.alive
 	if det == 0 {
 		return nil
 	}
 	b.alive &^= det
 	var newly []int
-	for k, gi := range b.global {
-		if det&(uint64(1)<<uint(k)) != 0 {
-			mgr.DetectedAt[gi] = mgr.now
-			newly = append(newly, gi)
-		}
+	for ; det != 0; det &= det - 1 {
+		gi := b.lo + bits.TrailingZeros64(det)
+		mgr.DetectedAt[gi] = mgr.now
+		newly = append(newly, gi)
 	}
 	return newly
 }
@@ -213,15 +193,4 @@ func (mgr *Manager) AppendSequence(seq logic.Sequence) []int {
 		newly = append(newly, mgr.Append(v)...)
 	}
 	return newly
-}
-
-func valuePlanes(v logic.Value) (z, o uint64) {
-	switch v {
-	case logic.Zero:
-		return sim.AllSlots, 0
-	case logic.One:
-		return 0, sim.AllSlots
-	default:
-		return sim.AllSlots, sim.AllSlots
-	}
 }

@@ -76,7 +76,7 @@ func BenchmarkManagerAppend(b *testing.B) {
 	faults := fault.Universe(sc.Scan, true)
 	mgr := NewManager(sc.Scan, faults)
 	v := sc.ShiftVector(logic.One)
-	fillRandom(v, logic.NewRandFiller(3))
+	v.FillX(logic.NewRandFiller(3))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		mgr.Append(v)

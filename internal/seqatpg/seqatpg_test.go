@@ -171,7 +171,7 @@ func TestManagerGoodStateMatchesFinalState(t *testing.T) {
 		sc.ShiftVector(logic.Zero),
 	}
 	for i := range seq {
-		fillRandom(seq[i], logic.NewRandFiller(uint64(i+1)))
+		seq[i].FillX(logic.NewRandFiller(uint64(i + 1)))
 	}
 	mgr.AppendSequence(seq)
 	want := sim.FinalState(sc.Scan, seq, nil)
@@ -192,7 +192,7 @@ func TestManagerFaultyStateDiverges(t *testing.T) {
 	// Shift in three zeros.
 	for i := 0; i < sc.NSV; i++ {
 		v := sc.ShiftVector(logic.Zero)
-		fillRandom(v, logic.NewRandFiller(uint64(i+9)))
+		v.FillX(logic.NewRandFiller(uint64(i + 9)))
 		mgr.Append(v)
 	}
 	good, bad := mgr.GoodState(), mgr.FaultyState(0)

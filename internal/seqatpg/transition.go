@@ -3,7 +3,6 @@ package seqatpg
 import (
 	"repro/internal/fault"
 	"repro/internal/logic"
-	"repro/internal/netlist"
 	"repro/internal/scan"
 	"repro/internal/sim"
 	"repro/internal/transition"
@@ -41,7 +40,8 @@ func GenerateTransition(sc scan.Design, faults []transition.Fault, opts Options)
 	opts = opts.withDefaults(sc.NumStateVars())
 	c := sc.ScanCircuit()
 	s := sim.NewSimulator(c, opts.Workers)
-	mgr := newTransManager(c, faults)
+	mgr := newManager(s, len(faults), func(m *sim.Machine, lo, hi int) { transition.InjectBatch(m, faults[lo:hi]) })
+	defer mgr.Close()
 	rng := logic.NewRandFiller(opts.Seed ^ 0x7452414E)
 	a := newAttempter(sc, opts, s)
 	defer a.close()
@@ -49,7 +49,7 @@ func GenerateTransition(sc scan.Design, faults []transition.Fault, opts Options)
 	var seq logic.Sequence
 	for pass := 0; pass < opts.Passes; pass++ {
 		for fi := range faults {
-			if mgr.detected(fi) {
+			if mgr.Detected(fi) {
 				continue
 			}
 			f := faults[fi]
@@ -60,108 +60,13 @@ func GenerateTransition(sc scan.Design, faults []transition.Fault, opts Options)
 			inject := func(m *sim.Machine) error {
 				return m.InjectTransitionFault(f.Signal, f.SlowToRise, sim.AllSlots)
 			}
-			sub, _, ok := a.attemptWith(focus, inject, mgr.goodState(), mgr.faultyState(fi), nil, nil, rng)
+			sub, _, ok := a.attemptWith(focus, inject, mgr.GoodState(), mgr.FaultyState(fi), nil, nil, rng)
 			if !ok {
 				continue
 			}
 			seq = append(seq, sub...)
-			mgr.appendSequence(sub)
+			mgr.AppendSequence(sub)
 		}
 	}
-	return TransitionResult{Sequence: seq, DetectedAt: mgr.detAt}
-}
-
-// transManager mirrors Manager for transition faults: per-batch
-// machines carry every undetected fault's state (including its one-
-// cycle delay history) through the growing sequence.
-type transManager struct {
-	c       *netlist.Circuit
-	faults  []transition.Fault
-	good    *sim.Machine
-	batches []*transBatch
-	detAt   []int
-	now     int
-}
-
-type transBatch struct {
-	m     *sim.Machine
-	start int
-	n     int
-	alive uint64
-}
-
-func newTransManager(c *netlist.Circuit, faults []transition.Fault) *transManager {
-	mgr := &transManager{
-		c:      c,
-		faults: faults,
-		good:   sim.New(c),
-		detAt:  make([]int, len(faults)),
-	}
-	for i := range mgr.detAt {
-		mgr.detAt[i] = sim.NotDetected
-	}
-	for start := 0; start < len(faults); start += sim.Slots {
-		end := start + sim.Slots
-		if end > len(faults) {
-			end = len(faults)
-		}
-		b := &transBatch{m: sim.New(c), start: start, n: end - start}
-		for k := start; k < end; k++ {
-			if err := b.m.InjectTransitionFault(faults[k].Signal, faults[k].SlowToRise, uint64(1)<<uint(k-start)); err != nil {
-				panic(err)
-			}
-			b.alive |= uint64(1) << uint(k-start)
-		}
-		mgr.batches = append(mgr.batches, b)
-	}
-	return mgr
-}
-
-func (mgr *transManager) detected(i int) bool { return mgr.detAt[i] != sim.NotDetected }
-
-func (mgr *transManager) goodState() []logic.Value { return mgr.good.StateSlot(0) }
-
-func (mgr *transManager) faultyState(i int) []logic.Value {
-	b := mgr.batches[i/sim.Slots]
-	return b.m.StateSlot(i % sim.Slots)
-}
-
-func (mgr *transManager) appendSequence(seq logic.Sequence) {
-	for _, v := range seq {
-		mgr.append(v)
-	}
-}
-
-func (mgr *transManager) append(v logic.Vector) {
-	mgr.good.Step(v)
-	nPO := mgr.c.NumOutputs()
-	goodVals := make([]logic.Value, nPO)
-	for po := 0; po < nPO; po++ {
-		goodVals[po] = mgr.good.OutputSlot(po, 0)
-	}
-	for _, b := range mgr.batches {
-		if b.alive == 0 {
-			continue
-		}
-		b.m.Step(v)
-		var det uint64
-		for po := 0; po < nPO; po++ {
-			if !goodVals[po].IsBinary() {
-				continue
-			}
-			gz, gd := valuePlanes(goodVals[po])
-			fz, fd := b.m.OutputPlanes(po)
-			det |= sim.DetectMask(gz, gd, fz, fd)
-		}
-		det &= b.alive
-		if det != 0 {
-			b.alive &^= det
-			for k := 0; k < b.n; k++ {
-				if det&(uint64(1)<<uint(k)) != 0 {
-					mgr.detAt[b.start+k] = mgr.now
-				}
-			}
-		}
-	}
-	mgr.now++
+	return TransitionResult{Sequence: seq, DetectedAt: mgr.DetectedAt}
 }

@@ -415,23 +415,7 @@ const (
 // circuit are handed off to that path mid-sequence.
 func (s *Simulator) runBatchEvent(m *Machine, tr *goodTrace, seq logic.Sequence, faults []fault.Fault, start int, opts Options, out []int) (steps, skipped int64) {
 	c := s.c
-	end := start + Slots
-	if end > len(faults) {
-		end = len(faults)
-	}
-	n := end - start
-	m.ClearFaults()
-	m.Reset()
-	if opts.InitialState != nil {
-		m.SetStateBroadcast(opts.InitialState)
-	}
-	for k, f := range faults[start:end] {
-		// Injection errors indicate a site inconsistent with the
-		// circuit; Universe never produces one.
-		if err := m.InjectFault(f, uint64(1)<<uint(k)); err != nil {
-			panic(err)
-		}
-	}
+	n := startBatch(m, faults, start, opts)
 	ev := m.prepareEvent()
 	sigW, ffW := tr.sigW, tr.ffW
 	allMask := AllSlots

@@ -1,6 +1,9 @@
 package sim
 
 import (
+	"sync"
+	"sync/atomic"
+
 	"repro/internal/fault"
 	"repro/internal/logic"
 	"repro/internal/netlist"
@@ -124,4 +127,92 @@ func FinalState(c *netlist.Circuit, seq logic.Sequence, initial []logic.Value) [
 		m.Step(v)
 	}
 	return m.StateSlot(0)
+}
+
+// ForEachBatch splits n fault indices into batches of up to 64, [lo, hi),
+// and calls fn(m, lo, hi) once per batch on up to Workers() goroutines,
+// each with its own machine from the pool. A machine arrives as the
+// pool or its previous batch left it, so fn injects the batch
+// (InjectBatch) and sets the start state itself. Batches run
+// concurrently, so fn must write only what its batch owns; results are
+// then identical for every worker count.
+func (s *Simulator) ForEachBatch(n int, fn func(m *Machine, lo, hi int)) {
+	nBatches := (n + Slots - 1) / Slots
+	batch := func(m *Machine, bi int) { fn(m, bi*Slots, min((bi+1)*Slots, n)) }
+	nw := min(s.workers, nBatches)
+	if nw <= 1 {
+		m := s.Acquire()
+		for bi := 0; bi < nBatches; bi++ {
+			batch(m, bi)
+		}
+		s.Release(m)
+		return
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < nw; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			m := s.Acquire()
+			defer s.Release(m)
+			for {
+				bi := int(next.Add(1)) - 1
+				if bi >= nBatches {
+					return
+				}
+				batch(m, bi)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// RunScanTest grades one conventional scan test (SI, T) on a circuit
+// without scan logic: si is scanned in fault-free (the standard model
+// of the first and second approaches), seq is applied, and a fault is
+// detected by a definite mismatch on a primary output during seq or in
+// the scanned-out final state. The final-state compare reads the
+// latched state, so a fault on a flip-flop's D pin is observed through
+// the value it latches. Faults with skip[i] >= 0 are not simulated (a
+// nil skip simulates all). It returns the detected fault indices in
+// ascending order, identical for every worker count.
+func (s *Simulator) RunScanTest(si logic.Vector, seq logic.Sequence, faults []fault.Fault, skip []int) []int {
+	var idx []int
+	var batch []fault.Fault
+	for fi, f := range faults {
+		if skip == nil || skip[fi] < 0 {
+			idx = append(idx, fi)
+			batch = append(batch, f)
+		}
+	}
+	good := s.Acquire()
+	good.SetStateBroadcast(si)
+	rows := make([][]logic.Value, len(seq))
+	for t, v := range seq {
+		good.Step(v)
+		rows[t] = good.OutputRow()
+	}
+	final := good.StateSlot(0)
+	s.Release(good)
+
+	det := make([]uint64, (len(batch)+Slots-1)/Slots)
+	s.ForEachBatch(len(batch), func(m *Machine, lo, hi int) {
+		m.InjectBatch(batch[lo:hi])
+		m.Reset()
+		m.SetStateBroadcast(si)
+		var d uint64
+		for t, v := range seq {
+			m.Step(v)
+			d |= m.OutputDiff(rows[t])
+		}
+		det[lo/Slots] = d | m.StateDiff(final)
+	})
+	var out []int
+	for k, fi := range idx {
+		if det[k/Slots]>>uint(k%Slots)&1 != 0 {
+			out = append(out, fi)
+		}
+	}
+	return out
 }

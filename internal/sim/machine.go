@@ -243,6 +243,19 @@ func (m *Machine) maybeTrans(sig netlist.SignalID, z, o uint64) (uint64, uint64)
 	return z, o
 }
 
+// InjectBatch clears every injected fault and injects faults[k] into
+// slot k — the layout of one parallel-fault batch. The flip-flop state
+// is left as it is. Injection errors mean a site inconsistent with the
+// circuit, which fault.Universe never produces, so they panic.
+func (m *Machine) InjectBatch(faults []fault.Fault) {
+	m.ClearFaults()
+	for k, f := range faults {
+		if err := m.InjectFault(f, uint64(1)<<uint(k)); err != nil {
+			panic(err)
+		}
+	}
+}
+
 // ClearFaults removes every injected fault, including transition
 // faults.
 func (m *Machine) ClearFaults() {
@@ -362,6 +375,45 @@ func (m *Machine) OutputPlanes(po int) (zero, one uint64) {
 func (m *Machine) OutputSlot(po, slot int) logic.Value {
 	z, o := m.OutputPlanes(po)
 	return planesValue(z, o, uint64(1)<<uint(slot))
+}
+
+// OutputRow returns slot 0's primary-output values after the last
+// Step: the fault-free row when slot 0 carries no fault.
+func (m *Machine) OutputRow() []logic.Value {
+	row := make([]logic.Value, len(m.c.Outputs))
+	for po := range row {
+		row[po] = m.OutputSlot(po, 0)
+	}
+	return row
+}
+
+// OutputDiff returns the slots whose primary outputs after the last
+// Step definitely differ from row: some output binary in row and binary
+// and opposite in the slot.
+func (m *Machine) OutputDiff(row []logic.Value) uint64 {
+	var diff uint64
+	for po, v := range row {
+		if v.IsBinary() {
+			gz, gd := broadcast(v)
+			fz, fd := m.OutputPlanes(po)
+			diff |= DetectMask(gz, gd, fz, fd)
+		}
+	}
+	return diff
+}
+
+// StateDiff is OutputDiff for the flip-flop state: the slots whose
+// latched state definitely differs from state (one value per
+// flip-flop), which is what a scan-out observes.
+func (m *Machine) StateDiff(state []logic.Value) uint64 {
+	var diff uint64
+	for fi, v := range state {
+		if v.IsBinary() {
+			gz, gd := broadcast(v)
+			diff |= DetectMask(gz, gd, m.sz[fi], m.so[fi])
+		}
+	}
+	return diff
 }
 
 // SignalPlanes returns the planes of an arbitrary signal after the last
@@ -614,7 +666,8 @@ func broadcast(v logic.Value) (z, o uint64) {
 
 // ValuePlanes expands one logic value into full 64-slot planes — the
 // broadcast encoding used throughout the simulator, exported for
-// packages that compare machine outputs against fault-free values.
+// packages that compare single outputs against fault-free values
+// (OutputDiff compares whole rows).
 func ValuePlanes(v logic.Value) (zero, one uint64) { return broadcast(v) }
 
 // planesValue extracts the value of one slot bit from planes.

@@ -133,7 +133,6 @@ func (s *Simulator) Release(m *Machine) { s.pool.Put(m) }
 type goodTrace struct {
 	seq      logic.Sequence
 	m        *Machine
-	nPO      int
 	mu       sync.Mutex
 	produced atomic.Int64
 	rows     [][]logic.Value
@@ -171,7 +170,6 @@ func (s *Simulator) newTrace(seq logic.Sequence, opts Options, ffOnly bool, old 
 		// themselves are shared.
 		seq:   append(logic.Sequence(nil), seq...),
 		m:     s.Acquire(),
-		nPO:   s.c.NumOutputs(),
 		rows:  make([][]logic.Value, len(seq)),
 		owner: s,
 	}
@@ -317,11 +315,7 @@ func (tr *goodTrace) ensure(t int) {
 	defer tr.mu.Unlock()
 	for p := int(tr.produced.Load()); p <= t; p++ {
 		tr.m.Step(tr.seq[p])
-		row := make([]logic.Value, tr.nPO)
-		for po := range row {
-			row[po] = tr.m.OutputSlot(po, 0)
-		}
-		tr.rows[p] = row
+		tr.rows[p] = tr.m.OutputRow()
 		if tr.withImages {
 			tr.imgs[p] = tr.captureImage()
 		}
@@ -682,24 +676,20 @@ func (s *Simulator) runBatchKernel(m *Machine, tr *goodTrace, seq logic.Sequence
 // as every fault of the batch is detected. It returns the number of
 // batch steps executed.
 func (s *Simulator) runBatch(m *Machine, tr *goodTrace, seq logic.Sequence, faults []fault.Fault, start int, opts Options, out []int) int64 {
-	end := start + Slots
-	if end > len(faults) {
-		end = len(faults)
-	}
-	n := end - start
-	m.ClearFaults()
+	n := startBatch(m, faults, start, opts)
+	return s.runFullTail(m, tr, seq, 0, n, start, 0, out)
+}
+
+// startBatch loads the batch of up to 64 faults starting at fault index
+// start into m, from the run's initial state, and returns its size.
+func startBatch(m *Machine, faults []fault.Fault, start int, opts Options) int {
+	batch := faults[start:min(start+Slots, len(faults))]
+	m.InjectBatch(batch)
 	m.Reset()
 	if opts.InitialState != nil {
 		m.SetStateBroadcast(opts.InitialState)
 	}
-	for k, f := range faults[start:end] {
-		// Injection errors indicate a site inconsistent with the
-		// circuit; Universe never produces one.
-		if err := m.InjectFault(f, uint64(1)<<uint(k)); err != nil {
-			panic(err)
-		}
-	}
-	return s.runFullTail(m, tr, seq, 0, n, start, 0, out)
+	return len(batch)
 }
 
 // runFullTail runs the full-evaluation loop over seq[t0:] for an
@@ -713,21 +703,11 @@ func (s *Simulator) runFullTail(m *Machine, tr *goodTrace, seq logic.Sequence, t
 		allMask = (uint64(1) << uint(n)) - 1
 	}
 	var steps int64
-	nPO := tr.nPO
 	for t := t0; t < len(seq); t++ {
 		row := tr.row(t)
 		m.Step(seq[t])
 		steps++
-		for po := 0; po < nPO; po++ {
-			if !row[po].IsBinary() {
-				continue
-			}
-			gz, gd := broadcast(row[po])
-			fz, fd := m.OutputPlanes(po)
-			newly := DetectMask(gz, gd, fz, fd) &^ detected & allMask
-			if newly == 0 {
-				continue
-			}
+		if newly := m.OutputDiff(row) &^ detected & allMask; newly != 0 {
 			detected |= newly
 			for k := 0; k < n; k++ {
 				if newly&(uint64(1)<<uint(k)) != 0 {

@@ -16,6 +16,7 @@ package transition
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/logic"
 	"repro/internal/netlist"
@@ -75,6 +76,17 @@ func (r Result) Coverage() float64 {
 	return 100 * float64(r.NumDetected()) / float64(len(r.DetectedAt))
 }
 
+// InjectBatch clears m's faults and injects batch[k] into slot k, the
+// transition-fault counterpart of sim.Machine.InjectBatch.
+func InjectBatch(m *sim.Machine, batch []Fault) {
+	m.ClearFaults()
+	for k, f := range batch {
+		if err := m.InjectTransitionFault(f.Signal, f.SlowToRise, uint64(1)<<uint(k)); err != nil {
+			panic(err) // sites chain per polarity; cannot fail
+		}
+	}
+}
+
 // Run fault-simulates seq against the transition faults, 64 at a time,
 // with the same lockstep early-exit structure as the stuck-at
 // simulator. Detection requires a definite mismatch at a primary
@@ -87,67 +99,30 @@ func Run(c *netlist.Circuit, seq logic.Sequence, faults []Fault) Result {
 	if len(seq) == 0 || len(faults) == 0 {
 		return res
 	}
-	good := sim.New(c)
-	nPO := c.NumOutputs()
-	goodPO := make([][]logic.Value, len(seq))
+	s := sim.NewSimulator(c, 1)
+	good := s.Acquire()
+	rows := make([][]logic.Value, len(seq))
 	for t, v := range seq {
 		good.Step(v)
-		row := make([]logic.Value, nPO)
-		for po := range row {
-			row[po] = good.OutputSlot(po, 0)
-		}
-		goodPO[t] = row
+		rows[t] = good.OutputRow()
 	}
-	m := sim.New(c)
-	for start := 0; start < len(faults); start += sim.Slots {
-		end := start + sim.Slots
-		if end > len(faults) {
-			end = len(faults)
-		}
-		batch := faults[start:end]
-		m.ClearFaults()
+	s.Release(good)
+	s.ForEachBatch(len(faults), func(m *sim.Machine, lo, hi int) {
+		InjectBatch(m, faults[lo:hi])
 		m.Reset()
-		for k, f := range batch {
-			if err := m.InjectTransitionFault(f.Signal, f.SlowToRise, uint64(1)<<uint(k)); err != nil {
-				panic(err) // sites chain per polarity; cannot fail
-			}
-		}
-		allMask := sim.AllSlots
-		if len(batch) < sim.Slots {
-			allMask = (uint64(1) << uint(len(batch))) - 1
-		}
+		all := sim.AllSlots >> uint(sim.Slots-(hi-lo))
 		var detected uint64
 		for t, v := range seq {
 			m.Step(v)
-			for po := 0; po < nPO; po++ {
-				gv := goodPO[t][po]
-				if !gv.IsBinary() {
-					continue
-				}
-				gz, gd := planes(gv)
-				fz, fd := m.OutputPlanes(po)
-				newly := sim.DetectMask(gz, gd, fz, fd) &^ detected & allMask
-				if newly == 0 {
-					continue
-				}
-				detected |= newly
-				for k := 0; k < len(batch); k++ {
-					if newly&(uint64(1)<<uint(k)) != 0 {
-						res.DetectedAt[start+k] = t
-					}
-				}
+			newly := m.OutputDiff(rows[t]) &^ detected & all
+			for d := newly; d != 0; d &= d - 1 {
+				res.DetectedAt[lo+bits.TrailingZeros64(d)] = t
 			}
-			if detected == allMask {
+			detected |= newly
+			if detected == all {
 				break
 			}
 		}
-	}
+	})
 	return res
-}
-
-func planes(v logic.Value) (z, o uint64) {
-	if v == logic.Zero {
-		return ^uint64(0), 0
-	}
-	return 0, ^uint64(0)
 }
