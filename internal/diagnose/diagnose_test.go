@@ -1,6 +1,7 @@
 package diagnose
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/circuits"
@@ -145,6 +146,28 @@ func TestDetectionCountsAndMinDetect(t *testing.T) {
 	for _, n := range counts {
 		if n != 0 && n < min {
 			t.Fatal("MinDetect not minimal")
+		}
+	}
+}
+
+// TestBuildWorkerDeterminism: the batches fan out over the simulator's
+// workers, and the signatures are identical at every worker count.
+func TestBuildWorkerDeterminism(t *testing.T) {
+	c, err := circuits.Load("s298")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, err := scan.Insert(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	faults := fault.Universe(sc.Scan, true)
+	seq := seqatpg.Generate(sc, faults, seqatpg.Options{Seed: 1}).Sequence
+	ref := BuildWith(sim.NewSimulator(sc.Scan, 1), seq, faults)
+	for _, w := range []int{2, 4} {
+		got := BuildWith(sim.NewSimulator(sc.Scan, w), seq, faults)
+		if !reflect.DeepEqual(got.Signatures, ref.Signatures) {
+			t.Fatalf("workers=%d: signatures differ from workers=1", w)
 		}
 	}
 }

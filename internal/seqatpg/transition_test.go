@@ -1,6 +1,8 @@
 package seqatpg
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/fault"
@@ -49,12 +51,38 @@ func TestGenerateTransitionVsGrading(t *testing.T) {
 		graded.NumDetected(), targeted.NumDetected(), both.NumDetected(), len(tf))
 }
 
+// TestGenerateTransitionDeterministic: the same seed gives the same
+// sequence and detection times.
 func TestGenerateTransitionDeterministic(t *testing.T) {
 	sc := loadScan(t, "s27")
 	tf := transition.Universe(sc.Scan)
 	a := GenerateTransition(sc, tf, Options{Seed: 5, Passes: 1})
 	b := GenerateTransition(sc, tf, Options{Seed: 5, Passes: 1})
-	if len(a.Sequence) != len(b.Sequence) {
-		t.Fatal("nondeterministic")
+	sameTransitionResult(t, "rerun", a, b)
+}
+
+// TestGenerateTransitionWorkerDeterminism: on s420 the transition faults
+// span enough batches for Manager.Append to step them in parallel, and
+// the sequence and detection times are identical at every worker count.
+func TestGenerateTransitionWorkerDeterminism(t *testing.T) {
+	sc := loadScan(t, "s420")
+	tf := transition.Universe(sc.Scan)
+	if n := (len(tf) + sim.Slots - 1) / sim.Slots; n < minParallelBatches {
+		t.Fatalf("%d fault batches never take the parallel path (%d)", n, minParallelBatches)
+	}
+	ref := GenerateTransition(sc, tf, Options{Seed: 3, Passes: 1, Workers: 1})
+	for _, w := range []int{2, 4} {
+		got := GenerateTransition(sc, tf, Options{Seed: 3, Passes: 1, Workers: w})
+		sameTransitionResult(t, fmt.Sprintf("workers=%d", w), ref, got)
+	}
+}
+
+func sameTransitionResult(t *testing.T, label string, want, got TransitionResult) {
+	t.Helper()
+	if got.Sequence.String() != want.Sequence.String() {
+		t.Fatalf("%s: sequence of %d vectors differs from the reference's %d", label, len(got.Sequence), len(want.Sequence))
+	}
+	if !slices.Equal(got.DetectedAt, want.DetectedAt) {
+		t.Fatalf("%s: DetectedAt differs", label)
 	}
 }

@@ -3,6 +3,7 @@ package xcheck
 import (
 	"fmt"
 	"runtime"
+	"slices"
 
 	"repro/internal/compact"
 	"repro/internal/fault"
@@ -29,6 +30,7 @@ func Invariants() []Invariant {
 		{"diff/subset", checkDiffSubset},
 		{"diff/reference", checkReference},
 		{"sim/trace-reuse", checkTraceReuse},
+		{"sim/scan-test", checkScanTest},
 		{"compact/keeps-detections", checkCompactKeepsDetections},
 		{"compact/engines", checkEngineEquivalence},
 		{"compact/pipeline-length", checkPipelineLength},
@@ -141,6 +143,33 @@ func checkReference(w *Workload) string {
 		got[i] = RefDetect(w.Design.Scan, w.Seq, w.Faults[fi], nil)
 	}
 	return w.diffDetAt("reference", want, got, w.RefSample)
+}
+
+// checkScanTest: the conventional scan-test grader returns exactly the
+// faults the scalar reference detects (RefScanTest), with and without
+// the skip list, at every worker count.
+func checkScanTest(w *Workload) string {
+	c, t := w.Design.Orig, w.ScanTest
+	ref := make([]bool, len(w.ScanFaults))
+	for i, f := range w.ScanFaults {
+		ref[i] = RefScanTest(c, t.SI, t.T, f)
+	}
+	for _, skip := range [][]int{nil, w.ScanSkip} {
+		var want []int
+		for i, d := range ref {
+			if d && (skip == nil || skip[i] < 0) {
+				want = append(want, i)
+			}
+		}
+		for _, workers := range workerCounts() {
+			got := sim.NewSimulator(c, workers).RunScanTest(t.SI, t.T, w.ScanFaults, skip)
+			if !slices.Equal(got, want) {
+				return fmt.Sprintf("scan-test workers=%d skip=%t: detected %v, reference %v",
+					workers, skip != nil, got, want)
+			}
+		}
+	}
+	return ""
 }
 
 // detSet returns the detected-fault mask of seq over the workload's

@@ -158,6 +158,33 @@ func RefDetectAll(c *netlist.Circuit, seq logic.Sequence, faults []fault.Fault, 
 	return det
 }
 
+// RefScanTest reports whether the conventional test (si, seq) detects
+// fault f on two scalar machines: both load si fault-free, seq runs with
+// detection on the primary outputs, and a binary final-state bit opposite
+// to a binary fault-free bit is detected by the scan-out. Unlike
+// ConventionalDetect, scan shifting is fault-free, which is the model
+// sim.Simulator.RunScanTest grades.
+func RefScanTest(c *netlist.Circuit, si logic.Vector, seq logic.Sequence, f fault.Fault) bool {
+	good := newRefMachine(c, nil)
+	bad := newRefMachine(c, &f)
+	good.setState(si)
+	bad.setState(si)
+	differ := func(g, b []logic.Value) bool {
+		for i := range g {
+			if g[i].IsBinary() && b[i].IsBinary() && g[i] != b[i] {
+				return true
+			}
+		}
+		return false
+	}
+	for _, v := range seq {
+		if differ(good.step(v), bad.step(v)) {
+			return true
+		}
+	}
+	return differ(good.state, bad.state)
+}
+
 // chainCorruptFF returns the flip-flop index from which scan shifting is
 // corrupted by f, or -1 when shifting is clean. A stem fault on a
 // flip-flop output forces everything read from that chain position; a

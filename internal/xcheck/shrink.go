@@ -27,6 +27,9 @@ func (w *Workload) clone() *Workload {
 	c.Subset = append([]int(nil), w.Subset...)
 	c.RefSample = append([]int(nil), w.RefSample...)
 	c.Tests = append([]translate.ScanTest(nil), w.Tests...)
+	c.ScanTest.T = append(logic.Sequence(nil), w.ScanTest.T...)
+	c.ScanFaults = append([]fault.Fault(nil), w.ScanFaults...)
+	c.ScanSkip = append([]int(nil), w.ScanSkip...)
 	return &c
 }
 
@@ -66,6 +69,22 @@ func (w *Workload) dropTests(lo, hi int) *Workload {
 	return c
 }
 
+// dropScanVectors removes scan-test vectors [lo, hi).
+func (w *Workload) dropScanVectors(lo, hi int) *Workload {
+	c := w.clone()
+	c.ScanTest.T = append(c.ScanTest.T[:lo], c.ScanTest.T[hi:]...)
+	return c
+}
+
+// dropScanFaults removes scan-test faults [lo, hi) with their skip
+// entries.
+func (w *Workload) dropScanFaults(lo, hi int) *Workload {
+	c := w.clone()
+	c.ScanFaults = append(c.ScanFaults[:lo], c.ScanFaults[hi:]...)
+	c.ScanSkip = append(c.ScanSkip[:lo], c.ScanSkip[hi:]...)
+	return c
+}
+
 // dimension is one shrinkable axis of a workload.
 type dimension struct {
 	name string
@@ -78,6 +97,8 @@ func dimensions() []dimension {
 		{"vectors", func(w *Workload) int { return len(w.Seq) }, (*Workload).dropVectors},
 		{"faults", func(w *Workload) int { return len(w.Faults) }, (*Workload).dropFaults},
 		{"tests", func(w *Workload) int { return len(w.Tests) }, (*Workload).dropTests},
+		{"scan-vectors", func(w *Workload) int { return len(w.ScanTest.T) }, (*Workload).dropScanVectors},
+		{"scan-faults", func(w *Workload) int { return len(w.ScanFaults) }, (*Workload).dropScanFaults},
 	}
 }
 
@@ -134,6 +155,14 @@ func (v *Violation) Repro() string {
 		fmt.Fprintf(&sb, "tests (%d):\n", len(w.Tests))
 		for _, t := range w.Tests {
 			fmt.Fprintf(&sb, "  SI=%s T=%s\n", t.SI.String(), strings.ReplaceAll(t.T.String(), "\n", ","))
+		}
+	}
+	if len(w.ScanFaults) > 0 {
+		t := w.ScanTest
+		fmt.Fprintf(&sb, "scan test: SI=%s T=%s\n", t.SI.String(), strings.ReplaceAll(t.T.String(), "\n", ","))
+		fmt.Fprintf(&sb, "scan faults (%d), skip:\n", len(w.ScanFaults))
+		for i, f := range w.ScanFaults {
+			fmt.Fprintf(&sb, "  %s %d\n", f.Name(w.Design.Orig), w.ScanSkip[i])
 		}
 	}
 	fmt.Fprintf(&sb, "sequence (%d vectors):\n", len(w.Seq))

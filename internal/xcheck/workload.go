@@ -65,6 +65,13 @@ type Workload struct {
 	// RefSample selects the fault indices the scalar reference
 	// simulator cross-checks (all of them on small circuits).
 	RefSample []int
+	// ScanTest is one conventional test over Design.Orig whose scanned-in
+	// state holds some X, graded against ScanFaults (a fault sample on
+	// Design.Orig) with ScanSkip (same length; >= 0 skips the fault) for
+	// the scan-test grader invariant.
+	ScanTest   translate.ScanTest
+	ScanFaults []fault.Fault
+	ScanSkip   []int
 }
 
 // rng returns the workload's deterministic generator stream n: every
@@ -92,6 +99,7 @@ func Generate(circuit string, seed uint64) (*Workload, error) {
 	w.Subset = sampleIndices(len(w.Faults), (len(w.Faults)+1)/2, w.rng(3))
 	w.Tests = genTests(w.Design, sz, w.rng(4))
 	w.RefSample = sampleIndices(len(w.Faults), sz.refs, w.rng(5))
+	w.ScanTest, w.ScanFaults, w.ScanSkip = genScanTest(w.Design.Orig, sz, w.rng(10))
 	return w, nil
 }
 
@@ -206,6 +214,39 @@ func genTests(d *scan.Circuit, sz sizing, rng *logic.RandFiller) []translate.Sca
 		tests[ti] = translate.ScanTest{SI: si, T: T}
 	}
 	return tests
+}
+
+// genScanTest builds the scan-test grader's input over the original
+// circuit: a scanned-in state with about a quarter X, one to four
+// vectors with about an eighth X, a fault sample and a skip list that
+// marks about a third of it.
+func genScanTest(c *netlist.Circuit, sz sizing, rng *logic.RandFiller) (translate.ScanTest, []fault.Fault, []int) {
+	value := func(xOneIn int) logic.Value {
+		if rng.Intn(xOneIn) == 0 {
+			return logic.X
+		}
+		return rng.Next()
+	}
+	si := make(logic.Vector, c.NumFFs())
+	for i := range si {
+		si[i] = value(4)
+	}
+	seq := make(logic.Sequence, 1+rng.Intn(4))
+	for t := range seq {
+		seq[t] = make(logic.Vector, c.NumInputs())
+		for i := range seq[t] {
+			seq[t][i] = value(8)
+		}
+	}
+	faults := sampleFaults(fault.Universe(c, false), sz.faults, rng)
+	skip := make([]int, len(faults))
+	for i := range skip {
+		skip[i] = -1
+		if rng.Intn(3) == 0 {
+			skip[i] = 0
+		}
+	}
+	return translate.ScanTest{SI: si, T: seq}, faults, skip
 }
 
 // LiftedStemFaults pairs every stem fault of the original circuit with
