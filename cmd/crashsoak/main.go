@@ -150,7 +150,7 @@ func runChild(flow, dir string, resume bool) int {
 	return 0
 }
 
-func loadScan(name string) (scan.Design, []fault.Fault) {
+func loadScan(name string) (*scan.Circuit, []fault.Fault) {
 	c, err := circuits.Load(name)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "crashsoak:", err)

@@ -164,7 +164,7 @@ func main() {
 	}
 	det := res.NumDetected()
 	fmt.Printf("circuit %s_scan: %d inputs, %d state variables\n",
-		*circuit, sc.Scan.NumInputs(), sc.NSV)
+		*circuit, sc.Scan.NumInputs(), sc.NumStateVars())
 	fmt.Printf("sequence length (clock cycles): %d\n", len(seq))
 	fmt.Printf("scan vectors (scan_sel=1):      %d\n", sc.CountScanVectors(seq))
 	fmt.Printf("faults: %d, detected: %d (%.2f%%)\n",

@@ -36,7 +36,7 @@ func ExampleTranslate() {
 	seq, _ := scanatpg.Translate(sc, tests, 1)
 	// Translation is cycle-neutral: the flat sequence is exactly as
 	// long as the conventional schedule.
-	fmt.Println(len(seq) == scanatpg.ConventionalCycles(tests, sc.NSV))
+	fmt.Println(len(seq) == scanatpg.ConventionalCycles(tests, sc.MaxLen()))
 	// Output: true
 }
 

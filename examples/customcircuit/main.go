@@ -74,6 +74,6 @@ func main() {
 	// scan operations are easy to spot in the scan_sel column.
 	fmt.Println("\nfinal sequence (din en | scan_sel scan_inp):")
 	for t, v := range compacted {
-		fmt.Printf("%3d  %v %v | %v %v\n", t, v[0], v[1], v[sc.SelPI], v[sc.InpPI])
+		fmt.Printf("%3d  %v %v | %v %v\n", t, v[0], v[1], v[sc.SelPI], v[sc.InpPIs[0]])
 	}
 }

@@ -42,7 +42,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("circuit %s, chain length %d\n\n", name, sc.NSV)
+	fmt.Printf("circuit %s, chain length %d\n\n", name, sc.MaxLen())
 
 	origFaults := scanatpg.Faults(c, true)
 	scanFaults := scanatpg.Faults(sc.Scan, true)
@@ -51,7 +51,7 @@ func main() {
 	base := scanatpg.GenerateBaseline(c, origFaults, scanatpg.BaselineOptions{Seed: 1})
 	fmt.Printf("1. conventional complete-scan testing: %d tests, %d cycles\n",
 		len(base.Tests), base.Cycles)
-	fmt.Printf("   every scan operation shifts all %d positions\n\n", sc.NSV)
+	fmt.Printf("   every scan operation shifts all %d positions\n\n", sc.MaxLen())
 
 	// 2. Translate the same tests and compact.
 	translated, err := scanatpg.Translate(sc, base.Tests, 7)
@@ -82,9 +82,9 @@ func printRuns(sc *scanatpg.ScanCircuit, seq scanatpg.Sequence) {
 	fmt.Print("   scan_sel=1 runs: ")
 	for _, l := range lens {
 		fmt.Printf("len %d ×%d  ", l, runs[l])
-		if l < sc.NSV {
+		if l < sc.MaxLen() {
 			limited += runs[l]
 		}
 	}
-	fmt.Printf("\n   limited scan operations (run < %d): %d\n", sc.NSV, limited)
+	fmt.Printf("\n   limited scan operations (run < %d): %d\n", sc.MaxLen(), limited)
 }

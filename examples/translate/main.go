@@ -40,10 +40,10 @@ func main() {
 	// circuit: full state controllability, |T| = 1 per test.
 	origFaults := scanatpg.Faults(c, true)
 	tests := scanatpg.FirstApproachTestSet(c, origFaults, 1)
-	cycles := scanatpg.ConventionalCycles(tests, sc.NSV)
+	cycles := scanatpg.ConventionalCycles(tests, sc.MaxLen())
 	fmt.Printf("legacy first-approach test set: %d tests\n", len(tests))
 	fmt.Printf("conventional application: %d cycles (%d-cycle scan per test)\n\n",
-		cycles, sc.NSV)
+		cycles, sc.MaxLen())
 	if len(tests) <= 8 {
 		fmt.Print(report.TestSetTable(tests, "test set"))
 		fmt.Println()

@@ -22,7 +22,7 @@ func s27Design(t *testing.T) (*ScanCircuit, []Fault, GenerateResult) {
 	return sc, faults, Generate(sc, faults, GenerateOptions{Seed: 1})
 }
 
-// The unified ScanDesign entry points must be bit-identical to the
+// The facade's compaction entry points must be bit-identical to the
 // internal compact package.
 func TestFacadeCompactUnified(t *testing.T) {
 	sc, faults, gen := s27Design(t)

@@ -190,7 +190,7 @@ func Compaction(c *netlist.Circuit, before, after logic.Sequence, faults []fault
 // test set and structurally sound for the design. completeScanCost is
 // the cycles of one complete scan operation (chain length, or longest
 // chain for a multi-chain design).
-func Translation(sc scan.Design, tests []translate.ScanTest, seq logic.Sequence, completeScanCost int) error {
+func Translation(sc *scan.Circuit, tests []translate.ScanTest, seq logic.Sequence, completeScanCost int) error {
 	if want := translate.Cycles(tests, completeScanCost); len(seq) != want {
 		return fmt.Errorf("check: translated length %d, conventional schedule %d", len(seq), want)
 	}
@@ -200,10 +200,10 @@ func Translation(sc scan.Design, tests []translate.ScanTest, seq logic.Sequence,
 // ScanStructure validates a scan design's bookkeeping against its
 // circuit: the select input exists, flush lengths are within range, and
 // loading any state through the chain really establishes it.
-func ScanStructure(sc scan.Design) error {
+func ScanStructure(sc *scan.Circuit) error {
 	c := sc.ScanCircuit()
-	if sc.SelInput() < 0 || sc.SelInput() >= c.NumInputs() {
-		return fmt.Errorf("check: scan_sel position %d out of range", sc.SelInput())
+	if sc.SelPI < 0 || sc.SelPI >= c.NumInputs() {
+		return fmt.Errorf("check: scan_sel position %d out of range", sc.SelPI)
 	}
 	if sc.NumStateVars() != c.NumFFs() {
 		return fmt.Errorf("check: %d state variables vs %d flip-flops", sc.NumStateVars(), c.NumFFs())

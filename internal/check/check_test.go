@@ -223,14 +223,7 @@ func TestCompactionCatchesLoss(t *testing.T) {
 
 func TestScanStructureSingleAndChains(t *testing.T) {
 	c, _ := circuits.Load("s298")
-	sc, err := scan.Insert(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ScanStructure(sc); err != nil {
-		t.Errorf("single chain: %v", err)
-	}
-	for _, n := range []int{2, 3, 5, 7} {
+	for _, n := range []int{1, 2, 3, 5, 7} {
 		ch, err := scan.InsertChains(c, n)
 		if err != nil {
 			t.Fatal(err)
@@ -251,10 +244,10 @@ func TestTranslationCycleNeutral(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Translation(sc, tests, seq, sc.NSV); err != nil {
+	if err := Translation(sc, tests, seq, sc.MaxLen()); err != nil {
 		t.Error(err)
 	}
-	if err := Translation(sc, tests, seq[:len(seq)-1], sc.NSV); err == nil {
+	if err := Translation(sc, tests, seq[:len(seq)-1], sc.MaxLen()); err == nil {
 		t.Error("truncated translation accepted")
 	}
 }

@@ -57,7 +57,7 @@ func corruptBothGenerations(t *testing.T, path, mode string) {
 	}
 }
 
-func genFixture(t *testing.T) (scan.Design, []fault.Fault, seqatpg.Options) {
+func genFixture(t *testing.T) (*scan.Circuit, []fault.Fault, seqatpg.Options) {
 	t.Helper()
 	c, err := circuits.Load("s298")
 	if err != nil {
@@ -73,7 +73,7 @@ func genFixture(t *testing.T) (scan.Design, []fault.Fault, seqatpg.Options) {
 
 // interruptedGenerate runs two budget-limited legs so both checkpoint
 // generations (primary and .1) exist on disk.
-func interruptedGenerate(t *testing.T, path string) (scan.Design, []fault.Fault, seqatpg.Options) {
+func interruptedGenerate(t *testing.T, path string) (*scan.Circuit, []fault.Fault, seqatpg.Options) {
 	t.Helper()
 	sc, faults, opts := genFixture(t)
 	for leg := 0; leg < 2; leg++ {

@@ -79,7 +79,7 @@ func hasKey(m map[string]int64, k string) bool {
 // of the paper's Table 1: one row per time unit, one column per original
 // primary input, then the scan control inputs (scan_sel and the scan_inp
 // of every chain) under their actual signal names.
-func SequenceTable(sc scan.Design, seq logic.Sequence, title string) string {
+func SequenceTable(sc *scan.Circuit, seq logic.Sequence, title string) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%s\n", title)
 	c := sc.ScanCircuit()
@@ -191,7 +191,7 @@ func Table7(rows []core.TranslateRow) string {
 // ScanRuns summarizes the scan_sel=1 run-length structure of a
 // sequence: how many maximal runs of each length occur. The paper's
 // discussion of limited scan operations is exactly about these runs.
-func ScanRuns(sc scan.Design, seq logic.Sequence) map[int]int {
+func ScanRuns(sc *scan.Circuit, seq logic.Sequence) map[int]int {
 	runs := make(map[int]int)
 	run := 0
 	for _, v := range seq {

@@ -17,20 +17,11 @@ func TestScanInIdentityProperty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	designs := []Design{}
-	single, err := Insert(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	designs = append(designs, single)
-	for _, n := range []int{2, 5} {
-		ch, err := InsertChains(c, n)
+	for _, n := range []int{1, 2, 5} {
+		d, err := InsertChains(c, n)
 		if err != nil {
 			t.Fatal(err)
 		}
-		designs = append(designs, ch)
-	}
-	for di, d := range designs {
 		f := func(bits uint64) bool {
 			state := make([]logic.Value, d.NumStateVars())
 			for i := range state {
@@ -43,7 +34,7 @@ func TestScanInIdentityProperty(t *testing.T) {
 			if err != nil {
 				return false
 			}
-			m := sim.New(d.ScanCircuit())
+			m := sim.New(d.Scan)
 			for _, v := range seq {
 				m.Step(v)
 			}
@@ -56,7 +47,7 @@ func TestScanInIdentityProperty(t *testing.T) {
 			return true
 		}
 		if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
-			t.Errorf("design %d: %v", di, err)
+			t.Errorf("%d chains: %v", n, err)
 		}
 	}
 }
@@ -70,7 +61,8 @@ func TestScanOutRoundTripProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := func(bits uint8) bool {
-		state := make([]logic.Value, sc.NSV)
+		nsv := sc.NumStateVars()
+		state := make([]logic.Value, nsv)
 		for i := range state {
 			state[i] = logic.Zero
 			if bits&(1<<uint(i)) != 0 {
@@ -79,10 +71,10 @@ func TestScanOutRoundTripProperty(t *testing.T) {
 		}
 		m := sim.New(sc.Scan)
 		m.SetStateBroadcast(state)
-		// Shift NSV times; scan_out at shift k shows position NSV-1-k.
-		for k := 0; k < sc.NSV; k++ {
+		// Shift nsv times; scan_out at shift k shows position nsv-1-k.
+		for k := 0; k < nsv; k++ {
 			m.Step(sc.ShiftVector(logic.Zero))
-			if got := m.OutputSlot(sc.OutPO, 0); got != state[sc.NSV-1-k] {
+			if got := m.OutputSlot(sc.OutPOs[0], 0); got != state[nsv-1-k] {
 				return false
 			}
 		}

@@ -138,7 +138,7 @@ func (r Result) NumFunct() int {
 // Generate runs the Section 2 procedure on sc for the given fault list
 // (normally fault.Universe of sc.Scan, which includes the scan logic's
 // own faults).
-func Generate(sc scan.Design, faults []fault.Fault, opts Options) Result {
+func Generate(sc *scan.Circuit, faults []fault.Fault, opts Options) Result {
 	opts = opts.withDefaults(sc.NumStateVars())
 	o := opts.Obs
 	defer obs.T(o, "generate.time").Start()()
@@ -274,7 +274,7 @@ loop:
 // attempter holds the per-attempt machinery (two simulation machines,
 // drawn from the simulator's pool) reused across faults.
 type attempter struct {
-	sc   scan.Design
+	sc   *scan.Circuit
 	opts Options
 	sim  *sim.Simulator
 	mg   *sim.Machine // fault-free
@@ -294,7 +294,7 @@ type attempter struct {
 	cFlushVectors   *obs.Counter
 }
 
-func newAttempter(sc scan.Design, opts Options, s *sim.Simulator) *attempter {
+func newAttempter(sc *scan.Circuit, opts Options, s *sim.Simulator) *attempter {
 	a := &attempter{
 		sc:   sc,
 		opts: opts,
@@ -421,7 +421,7 @@ func (a *attempter) withFlush(goodState, faultyState []logic.Value, prefix logic
 		seq = append(seq, w)
 	}
 	obs := logic.NewVector(c.NumInputs())
-	obs[a.sc.SelInput()] = logic.Zero
+	obs[a.sc.SelPI] = logic.Zero
 	obs.FillX(rng)
 	seq = append(seq, obs)
 

@@ -97,12 +97,12 @@ func TestGenerateUsesLimitedScan(t *testing.T) {
 			run++
 			continue
 		}
-		if run > 0 && run < sc.NSV {
+		if run > 0 && run < sc.MaxLen() {
 			sawLimited = true
 		}
 		run = 0
 	}
-	if run > 0 && run < sc.NSV {
+	if run > 0 && run < sc.MaxLen() {
 		sawLimited = true
 	}
 	if !sawLimited {
@@ -186,11 +186,11 @@ func TestManagerGoodStateMatchesFinalState(t *testing.T) {
 func TestManagerFaultyStateDiverges(t *testing.T) {
 	sc := loadScan(t, "s27")
 	// A stuck-at-1 on scan_inp makes scanned-in zeros ones.
-	inpSig := sc.Scan.Inputs[sc.InpPI]
+	inpSig := sc.Scan.Inputs[sc.InpPIs[0]]
 	f := fault.Fault{Site: fault.Site{Signal: inpSig, Gate: -1, Pin: -1, FF: -1}, SA: logic.One}
 	mgr := NewManager(sc.Scan, []fault.Fault{f})
 	// Shift in three zeros.
-	for i := 0; i < sc.NSV; i++ {
+	for i := 0; i < sc.MaxLen(); i++ {
 		v := sc.ShiftVector(logic.Zero)
 		v.FillX(logic.NewRandFiller(uint64(i + 9)))
 		mgr.Append(v)

@@ -36,7 +36,7 @@ func (r TransitionResult) NumDetected() int {
 // fault needs consecutive at-speed cycles exercising both values of its
 // site, which the search discovers through the same effect-latching
 // reward.
-func GenerateTransition(sc scan.Design, faults []transition.Fault, opts Options) TransitionResult {
+func GenerateTransition(sc *scan.Circuit, faults []transition.Fault, opts Options) TransitionResult {
 	opts = opts.withDefaults(sc.NumStateVars())
 	c := sc.ScanCircuit()
 	s := sim.NewSimulator(c, opts.Workers)

@@ -143,7 +143,7 @@ func scanBench(b *testing.B, name string, tests int) (sc *scan.Circuit, faults [
 	faults = fault.Universe(sc.Scan, true)
 	rng := rand.New(rand.NewSource(11))
 	for test := 0; test < tests; test++ {
-		state := make([]logic.Value, sc.NSV)
+		state := make([]logic.Value, sc.NumStateVars())
 		for i := range state {
 			state[i] = logic.Value(rng.Intn(2))
 		}

@@ -34,7 +34,7 @@ func scanDesign(t *testing.T, name string) *scan.Circuit {
 func scanTests(sc *scan.Circuit, rng *rand.Rand, n, funct int) logic.Sequence {
 	var seq logic.Sequence
 	for test := 0; test < n; test++ {
-		state := make([]logic.Value, sc.NSV)
+		state := make([]logic.Value, sc.NumStateVars())
 		for i := range state {
 			state[i] = logic.Value(rng.Intn(2))
 		}
@@ -241,8 +241,8 @@ func TestTraceSpliceStopsAtSourceLimit(t *testing.T) {
 func TestTraceSpliceNeverReconverges(t *testing.T) {
 	sc := scanDesign(t, "s420")
 	faults := fault.Universe(sc.Scan, true)
-	state := make([]logic.Value, sc.NSV)
-	comp := make([]logic.Value, sc.NSV)
+	state := make([]logic.Value, sc.NumStateVars())
+	comp := make([]logic.Value, sc.NumStateVars())
 	for i := range state {
 		state[i] = logic.Value(i % 2)
 		comp[i] = 1 - state[i]
@@ -250,7 +250,7 @@ func TestTraceSpliceNeverReconverges(t *testing.T) {
 	loadA, _ := sc.ScanInSequence(state)
 	loadB, _ := sc.ScanInSequence(comp)
 	var shifts logic.Sequence
-	for i := 0; i < sc.NSV-1; i++ {
+	for i := 0; i < sc.NumStateVars()-1; i++ {
 		shifts = append(shifts, sc.ShiftVector(logic.Value(i%2)))
 	}
 	a := append(append(logic.Sequence{}, loadA...), shifts...)

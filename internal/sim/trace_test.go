@@ -167,7 +167,7 @@ func TestTraceEditEdges(t *testing.T) {
 	// once the second scan-in is complete.
 	var state [2][]logic.Value
 	for k := range state {
-		state[k] = make([]logic.Value, sc.NSV)
+		state[k] = make([]logic.Value, sc.NumStateVars())
 		for i := range state[k] {
 			state[k][i] = logic.Value((i + k) % 2)
 		}

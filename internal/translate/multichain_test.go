@@ -10,9 +10,8 @@ import (
 	"repro/internal/sim"
 )
 
-// TestTranslateOnMultipleChains: translation through the Design
-// interface works for multi-chain circuits, with scan-in blocks of
-// MaxLen cycles.
+// TestTranslateOnMultipleChains: translation works unchanged for
+// multi-chain circuits, with scan-in blocks of MaxLen cycles.
 func TestTranslateOnMultipleChains(t *testing.T) {
 	c, err := circuits.Load("s298")
 	if err != nil {

@@ -75,7 +75,7 @@ func randomTests(d *scan.Circuit, seed uint64) []translate.ScanTest {
 	rng := logic.NewRandFiller(seed ^ 0xA5A5A5A5)
 	tests := make([]translate.ScanTest, 2+rng.Intn(3))
 	for ti := range tests {
-		si := make(logic.Vector, d.NSV)
+		si := make(logic.Vector, d.NumStateVars())
 		for i := range si {
 			si[i] = rng.Next()
 		}

@@ -55,7 +55,7 @@ func Cycles(tests []ScanTest, nsv int) int {
 // The result is guaranteed to detect every fault the conventional
 // application of tests detects (the paper, Section 3); unspecified
 // values are filled from seed.
-func Translate(sc scan.Design, tests []ScanTest, seed uint64) (logic.Sequence, error) {
+func Translate(sc *scan.Circuit, tests []ScanTest, seed uint64) (logic.Sequence, error) {
 	var seq logic.Sequence
 	for ti, t := range tests {
 		if len(t.SI) != sc.NumStateVars() {
@@ -70,9 +70,9 @@ func Translate(sc scan.Design, tests []ScanTest, seed uint64) (logic.Sequence, e
 		}
 		seq = append(seq, scanin...)
 		for _, v := range t.T {
-			if len(v) != sc.OrigCircuit().NumInputs() {
+			if len(v) != sc.Orig.NumInputs() {
 				return nil, fmt.Errorf("translate: test %d: functional vector width %d, want %d",
-					ti, len(v), sc.OrigCircuit().NumInputs())
+					ti, len(v), sc.Orig.NumInputs())
 			}
 			seq = append(seq, sc.FunctionalVector(v))
 		}

@@ -60,8 +60,8 @@ func TestTranslateStructureMatchesTable3(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(seq) != Cycles(tests, sc.NSV) {
-		t.Fatalf("length %d != cycles %d", len(seq), Cycles(tests, sc.NSV))
+	if len(seq) != Cycles(tests, sc.MaxLen()) {
+		t.Fatalf("length %d != cycles %d", len(seq), Cycles(tests, sc.MaxLen()))
 	}
 	// Expected scan_sel pattern per Table 3: 111 0 111 0 111 0 111 00 111.
 	sel := make([]byte, len(seq))
@@ -91,7 +91,7 @@ func TestTranslateScanInValuesReachState(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := sim.New(sc.Scan)
-	for _, v := range seq[:sc.NSV] {
+	for _, v := range seq[:sc.MaxLen()] {
 		m.Step(v)
 	}
 	st := m.StateSlot(0)
@@ -173,7 +173,7 @@ func TestTranslateEmptyTestSet(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Just the final scan-out block.
-	if len(seq) != sc.NSV {
-		t.Errorf("empty set translated to %d vectors, want %d", len(seq), sc.NSV)
+	if len(seq) != sc.MaxLen() {
+		t.Errorf("empty set translated to %d vectors, want %d", len(seq), sc.MaxLen())
 	}
 }

@@ -173,7 +173,7 @@ func genSequence(d *scan.Circuit, sz sizing, rng *logic.RandFiller) logic.Sequen
 	for len(seq) < target {
 		switch rng.Intn(4) {
 		case 0: // full scan-in of a random state
-			state := make([]logic.Value, d.NSV)
+			state := make([]logic.Value, d.NumStateVars())
 			for i := range state {
 				state[i] = rng.Next()
 			}
@@ -199,7 +199,7 @@ func genSequence(d *scan.Circuit, sz sizing, rng *logic.RandFiller) logic.Sequen
 func genTests(d *scan.Circuit, sz sizing, rng *logic.RandFiller) []translate.ScanTest {
 	tests := make([]translate.ScanTest, 1+rng.Intn(sz.tests))
 	for ti := range tests {
-		si := make(logic.Vector, d.NSV)
+		si := make(logic.Vector, d.NumStateVars())
 		for i := range si {
 			si[i] = rng.Next()
 		}

@@ -59,7 +59,7 @@ type (
 	Circuit = netlist.Circuit
 	// Builder constructs circuits programmatically.
 	Builder = netlist.Builder
-	// ScanCircuit is a circuit with an inserted scan chain (C_scan).
+	// ScanCircuit is a circuit with inserted scan chains (C_scan).
 	ScanCircuit = scan.Circuit
 	// Fault is a single stuck-at fault.
 	Fault = fault.Fault
@@ -135,18 +135,11 @@ func FormatBench(c *Circuit) string { return bench.Format(c) }
 // scan_out as an extra output.
 func InsertScan(c *Circuit) (*ScanCircuit, error) { return scan.Insert(c) }
 
-// ScanChains is a circuit with several scan chains sharing one
-// scan_sel (the paper's noted generalization).
-type ScanChains = scan.Chains
-
-// ScanDesign abstracts over single- and multi-chain scan circuits;
-// Generate accepts either.
-type ScanDesign = scan.Design
-
-// InsertScanChains builds C_scan with n scan chains; flip-flops are
-// split into near-equal contiguous groups, so a complete scan operation
-// takes only the longest chain's length in cycles.
-func InsertScanChains(c *Circuit, n int) (*ScanChains, error) { return scan.InsertChains(c, n) }
+// InsertScanChains builds C_scan with n scan chains sharing one
+// scan_sel (the paper's noted generalization); flip-flops are split into
+// near-equal contiguous groups, so a complete scan operation takes only
+// the longest chain's length in cycles. One chain is InsertScan.
+func InsertScanChains(c *Circuit, n int) (*ScanCircuit, error) { return scan.InsertChains(c, n) }
 
 // Faults enumerates the single stuck-at fault universe of a circuit,
 // optionally with structural equivalence collapsing.
@@ -154,9 +147,8 @@ func Faults(c *Circuit, collapse bool) []Fault { return fault.Universe(c, collap
 
 // Generate runs the paper's Section 2 test generation procedure on
 // C_scan: a sequential generator for non-scan circuits enhanced with
-// functional-level knowledge of the scan chain(s). It accepts both a
-// single-chain *ScanCircuit and a multi-chain *ScanChains.
-func Generate(sc ScanDesign, faults []Fault, opts GenerateOptions) GenerateResult {
+// functional-level knowledge of the scan chain(s), for any chain count.
+func Generate(sc *ScanCircuit, faults []Fault, opts GenerateOptions) GenerateResult {
 	return seqatpg.Generate(sc, faults, opts)
 }
 
@@ -170,7 +162,7 @@ func GenerateBaseline(c *Circuit, faults []Fault, opts BaselineOptions) Baseline
 // Translate flattens a conventional scan test set into one C_scan test
 // sequence (the paper's Section 3); the result detects everything the
 // conventional application of the set detects.
-func Translate(sc ScanDesign, tests []ScanTest, seed uint64) (Sequence, error) {
+func Translate(sc *ScanCircuit, tests []ScanTest, seed uint64) (Sequence, error) {
 	return translate.Translate(sc, tests, seed)
 }
 
@@ -212,16 +204,15 @@ const (
 )
 
 // Restore applies vector-restoration compaction [23] to a test sequence
-// for a scan design. Like Compact and Omit it accepts both a
-// single-chain *ScanCircuit and a multi-chain *ScanChains; pass
-// CompactOptions{} for the defaults.
-func Restore(sc ScanDesign, seq Sequence, faults []Fault, opts CompactOptions) (Sequence, CompactionStats) {
+// for a scan design of any chain count; pass CompactOptions{} for the
+// defaults.
+func Restore(sc *ScanCircuit, seq Sequence, faults []Fault, opts CompactOptions) (Sequence, CompactionStats) {
 	return compact.RestoreOpts(sc.ScanCircuit(), seq, faults, opts)
 }
 
 // Omit applies vector-omission compaction [22] to a test sequence for a
 // scan design.
-func Omit(sc ScanDesign, seq Sequence, faults []Fault, opts CompactOptions) (Sequence, CompactionStats) {
+func Omit(sc *ScanCircuit, seq Sequence, faults []Fault, opts CompactOptions) (Sequence, CompactionStats) {
 	return compact.OmitOpts(sc.ScanCircuit(), seq, faults, opts)
 }
 
@@ -230,7 +221,7 @@ func Omit(sc ScanDesign, seq Sequence, faults []Fault, opts CompactOptions) (Seq
 // Budgets, checkpointing, observation and engine/order selection all
 // ride in opts; with a Control set, a stopped pass returns the valid
 // partially compacted sequence with Stats.Status set.
-func Compact(sc ScanDesign, seq Sequence, faults []Fault, opts CompactOptions) (Sequence, CompactionStats) {
+func Compact(sc *ScanCircuit, seq Sequence, faults []Fault, opts CompactOptions) (Sequence, CompactionStats) {
 	_, omitted, _, ost := compact.RestoreThenOmitOpts(sc.ScanCircuit(), seq, faults, opts)
 	return omitted, ost
 }
@@ -371,7 +362,7 @@ type TestProgram = testprog.Program
 // SplitProgram segments a flat sequence into scan operations and
 // functional vectors — the inverse of translation, showing where
 // compaction created limited scan operations.
-func SplitProgram(sc ScanDesign, seq Sequence) *TestProgram { return testprog.Split(sc, seq) }
+func SplitProgram(sc *ScanCircuit, seq Sequence) *TestProgram { return testprog.Split(sc, seq) }
 
 // CollapseDominance additionally drops structurally dominating gate
 // output faults from a fault list; use the result as a generation
@@ -415,7 +406,7 @@ type TransitionResult = seqatpg.TransitionResult
 // gross-delay transition fault model (at-speed test generation). The
 // candidate fitness and the scan flush mechanism are fault-model
 // agnostic; only the stuck-at PODEM oracles are disabled.
-func GenerateTransitionTests(sc ScanDesign, faults []TransitionFault, opts GenerateOptions) TransitionResult {
+func GenerateTransitionTests(sc *ScanCircuit, faults []TransitionFault, opts GenerateOptions) TransitionResult {
 	return seqatpg.GenerateTransition(sc, faults, opts)
 }
 

@@ -94,7 +94,7 @@ func TestFacadeTranslateFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(seq) != ConventionalCycles(tests, sc.NSV) {
+	if len(seq) != ConventionalCycles(tests, sc.MaxLen()) {
 		t.Error("translated length != conventional cycles")
 	}
 	scanFaults := Faults(sc.Scan, true)
