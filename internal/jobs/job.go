@@ -53,7 +53,7 @@ type task struct {
 }
 
 // taskResult is the per-task deliverable, persisted as
-// task-<idx>.result.json the moment the task completes. Keeping task
+// task-<idx>.result.json before the task is recorded done. Keeping task
 // results on disk (not only in memory) makes jobs resumable across
 // server restarts: a resume leg re-runs only the unfinished tasks and
 // reassembles the rest from these files.
@@ -323,18 +323,17 @@ func flowResult(st runctl.Status, err error, res *taskResult) *taskResult {
 	return res
 }
 
-// taskFinishedLocked records one task's outcome, persists it, enqueues
-// any dependents the completion unblocked, and settles the job when it
-// was the last reporting task of the leg. A stopped task's partial
-// state stays in task-<idx>.ckpt for the next resume leg. Called with
-// the server lock held.
+// taskFinishedLocked records one task's outcome (a done task's result
+// file is already written), enqueues any dependents the completion
+// unblocked, and settles the job when it was the last reporting task of
+// the leg. A stopped task's partial state stays in task-<idx>.ckpt for
+// the next resume leg. Called with the server lock held.
 func (j *job) taskFinishedLocked(idx int, res *taskResult) {
 	ts := &j.status.Tasks[idx]
 	ts.Status = res.Status
 	ts.Error = res.Error
 	if res.Status.Done() {
 		ts.Done = true
-		writeJSONFile(j.taskResultPath(idx), res)
 		j.enqueueLocked()
 	}
 	j.persistStatusLocked()

@@ -294,8 +294,8 @@ func (s *Server) HeartbeatLease(token string, ckpt []byte) (time.Duration, error
 // checkpoint bytes, which the next chunk of a compact chain consumes)
 // and finishes the task. Every result, local or remote, enters here. A
 // result that assembly could not use is a *SpecError (HTTP 400), and a
-// failed checkpoint write is returned as is; either way nothing is
-// recorded and the lease stays live.
+// failed checkpoint or result write is returned as is; either way
+// nothing is recorded and the lease stays live.
 func (s *Server) CompleteLease(token string, res *taskResult, ckpt []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -310,6 +310,11 @@ func (s *Server) CompleteLease(token string, res *taskResult, ckpt []byte) error
 	}
 	if err := t.saveCheckpoint(ckpt); err != nil {
 		return err
+	}
+	if res.Status.Done() {
+		if err := writeJSONFile(j.taskResultPath(t.idx), res); err != nil {
+			return err
+		}
 	}
 	s.dropLeaseLocked(l)
 	j.rec.Event("job", "task_done",

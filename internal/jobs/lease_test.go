@@ -233,6 +233,69 @@ func TestLeaseRejectsMalformedResult(t *testing.T) {
 	}
 }
 
+// TestLeaseResultWriteFailure: a done task's result file is written
+// before anything is recorded, so a failed write leaves the task undone
+// and its lease live. Once the write can succeed, the same lease
+// completes and the job settles complete with a local run's result.
+func TestLeaseResultWriteFailure(t *testing.T) {
+	spec := Spec{Flow: FlowSimulate, Circuits: []string{"s27"}, Seed: 2, SeqLen: 32}
+
+	_, local := testServer(t, Options{Workers: 1})
+	want := completeJob(t, local, spec)
+
+	s, c := testServer(t, Options{Workers: -1})
+	ctx := context.Background()
+	st, err := c.Submit(ctx, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := c.Claim(ctx, "manual")
+	if err != nil || a == nil {
+		t.Fatalf("claim = %+v, %v", a, err)
+	}
+	ctl := &runctl.Control{Store: runctl.NewFileStore(filepath.Join(t.TempDir(), "ckpt")), Resume: a.Resume}
+	res := executeFlow(&a.Spec, a.Circuit, sim.FaultRange{Start: a.ShardStart, End: a.ShardEnd},
+		a.Chunk, a.RestoredKept, ctl, nil)
+
+	// A directory where the result file goes makes its write fail.
+	s.mu.Lock()
+	blocker := s.jobs[st.ID].taskResultPath(0)
+	s.mu.Unlock()
+	if err := os.Mkdir(blocker, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.CompleteLease(a.Lease, res, nil); err == nil {
+		t.Fatal("completion accepted although its result file could not be written")
+	}
+	after, err := s.Get(st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.Tasks[0].Done || after.State.Terminal() {
+		t.Fatalf("after a failed result write: task done=%v, job %s", after.Tasks[0].Done, after.State)
+	}
+	if workers, err := c.Workers(ctx); err != nil || len(workers) != 1 {
+		t.Fatalf("leases after a failed result write = %+v, %v", workers, err)
+	}
+
+	if err := os.Remove(blocker); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.CompleteLease(a.Lease, res, nil); err != nil {
+		t.Fatal(err)
+	}
+	if final := waitTerminal(t, c, st.ID); final.State != StateComplete {
+		t.Fatalf("job settled %s (error %q)", final.State, final.Error)
+	}
+	got, err := c.Result(ctx, st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("result differs from a local run:\n--- got ---\n%s\n--- local ---\n%s", got, want)
+	}
+}
+
 func mustJSON(t *testing.T, v any) string {
 	t.Helper()
 	data, err := json.Marshal(v)
