@@ -159,7 +159,7 @@ func runSingle(name string, cfg core.Config, doCompact, printSeq bool, outFile, 
 		fmt.Println()
 		fmt.Print(report.SequenceTable(art.Scan, best, title))
 		fmt.Printf("\nscan_sel=1 run lengths: %v (chain length %d)\n",
-			report.ScanRuns(art.Scan, best), art.Scan.NumStateVars())
+			report.ScanRuns(art.Scan, best), art.Scan.MaxLen())
 	}
 	if cfg.Control != nil {
 		fmt.Println(report.RunBanner(row.Status, ckptFile))
