@@ -481,15 +481,6 @@ func (s *Simulator) Run(seq logic.Sequence, faults []fault.Fault, opts Options) 
 	return s.runInto(seq, faults, opts, make([]int, len(faults)))
 }
 
-// RunWithControl is Run under an explicit run control: the budget and
-// cancellation are polled at fault-batch boundaries and, when the
-// control carries a checkpoint store, per-batch detection state is
-// persisted for -resume. It is shorthand for setting opts.Control.
-func (s *Simulator) RunWithControl(seq logic.Sequence, faults []fault.Fault, opts Options, ctl *runctl.Control) Result {
-	opts.Control = ctl
-	return s.Run(seq, faults, opts)
-}
-
 // runInto is Run writing detections into the caller-provided det slice
 // (len(det) == len(faults)), which becomes the result's DetectedAt.
 //
