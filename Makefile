@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet bench bench-compact fuzz metrics-check scand-smoke tables-check xcheck soak clean
+.PHONY: build test race vet bench bench-compact fuzz metrics-check scand-smoke tables-check xcheck soak loc clean
 
 build:
 	$(GO) build ./...
@@ -87,6 +87,15 @@ SOAK_ITERS ?= 200
 
 soak:
 	$(GO) run -race ./cmd/crashsoak -iters $(SOAK_ITERS) -seed 1
+
+# loc prints the Go lines added, deleted and net per directory from
+# BASE to HEAD, with test files counted apart (scripts/loc.sh). Every
+# change reports its net lines of code this way:
+#   make loc BASE=main
+BASE ?= HEAD~1
+
+loc:
+	sh scripts/loc.sh $(BASE)
 
 clean:
 	rm -f BENCH_sim.json BENCH_compact.json
