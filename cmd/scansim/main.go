@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"os"
 
-	"repro/internal/check"
 	"repro/internal/circuits"
 	"repro/internal/diagnose"
 	"repro/internal/fault"
@@ -150,8 +149,11 @@ func main() {
 	}
 
 	if *verify {
-		if err := check.Sequence(sc.Scan, seq, true); err != nil {
-			fail(err)
+		// Widths were checked when the sequence was read or generated.
+		for t, v := range seq {
+			if !v.Specified() {
+				fail(fmt.Errorf("vector %d contains X values", t))
+			}
 		}
 		fmt.Println("sequence structure: OK (widths match, fully specified)")
 	}

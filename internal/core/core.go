@@ -18,7 +18,6 @@ import (
 	"repro/internal/compact"
 	"repro/internal/fault"
 	"repro/internal/logic"
-	"repro/internal/netlist"
 	"repro/internal/obs"
 	"repro/internal/runctl"
 	"repro/internal/scan"
@@ -379,62 +378,4 @@ func RunTranslate(name string, cfg Config) (TranslateRow, *TranslateArtifacts, e
 		obs.F("flow", "translate"), obs.F("circuit", name),
 		obs.F("status", row.Status.String()))
 	return row, art, nil
-}
-
-// VerifyTranslation checks the paper's Section 3 guarantee on a
-// translated sequence: every fault of the scan circuit detected by the
-// conventional test set (modelled on C) must be detected by the flat
-// sequence on C_scan. It returns an error naming the first violation.
-func VerifyTranslation(sc *scan.Circuit, base baseline.Result, origFaults []fault.Fault, seq logic.Sequence) error {
-	// Map original-circuit faults onto C_scan sites by signal name.
-	var check []fault.Fault
-	var checkIdx []int
-	for fi, f := range origFaults {
-		if base.DetectedBy[fi] < 0 {
-			continue
-		}
-		if g, ok := liftFault(sc, f); ok {
-			check = append(check, g)
-			checkIdx = append(checkIdx, fi)
-		}
-	}
-	res := sim.Run(sc.Scan, seq, check, sim.Options{})
-	for i := range check {
-		if !res.Detected(i) {
-			return fmt.Errorf("core: fault %s (original index %d) detected conventionally but lost in translation",
-				check[i].Name(sc.Scan), checkIdx[i])
-		}
-	}
-	return nil
-}
-
-// liftFault maps a fault on the original circuit onto the equivalent
-// site of C_scan (signals keep their names; gate and pin indices shift).
-func liftFault(sc *scan.Circuit, f fault.Fault) (fault.Fault, bool) {
-	name := sc.Orig.SignalName(f.Site.Signal)
-	s, ok := sc.Scan.SignalByName(name)
-	if !ok {
-		return fault.Fault{}, false
-	}
-	out := fault.Fault{SA: f.SA, Site: fault.Site{Signal: s, Gate: -1, Pin: -1, FF: -1}}
-	switch {
-	case f.Site.IsStem():
-		return out, true
-	case f.Site.FF >= 0:
-		// The D pin of the original flip-flop is now an input of the
-		// scan mux; map to the corresponding mux AND gate pin.
-		return fault.Fault{}, false
-	default:
-		// Branch on a gate pin: find the same-named gate in C_scan.
-		g := sc.Orig.Gates[f.Site.Gate]
-		outName := sc.Orig.SignalName(g.Out)
-		so, ok := sc.Scan.SignalByName(outName)
-		if !ok || sc.Scan.Signals[so].Kind != netlist.KindGate {
-			return fault.Fault{}, false
-		}
-		gi := sc.Scan.Signals[so].Driver
-		out.Site.Gate = gi
-		out.Site.Pin = f.Site.Pin
-		return out, true
-	}
 }

@@ -4,9 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/circuits"
-	"repro/internal/fault"
-	"repro/internal/scan"
 	"repro/internal/sim"
 )
 
@@ -79,45 +76,6 @@ func TestRunTranslateS27(t *testing.T) {
 	}
 	if len(art.Base.Tests) == 0 {
 		t.Error("baseline produced no tests")
-	}
-}
-
-// TestTranslationPreservesDetections verifies the Section 3 guarantee
-// end to end on s27.
-func TestTranslationPreservesDetections(t *testing.T) {
-	cfg := DefaultConfig()
-	_, art, err := RunTranslate("s27", cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, _ := circuits.Load("s27")
-	origFaults := fault.Universe(c, cfg.Collapse)
-	if err := VerifyTranslation(art.Scan, art.Base, origFaults, art.Translated); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestLiftFault(t *testing.T) {
-	c, _ := circuits.Load("s27")
-	sc, _ := scan.Insert(c)
-	for _, f := range fault.Universe(c, false) {
-		g, ok := liftFault(sc, f)
-		if f.Site.FF >= 0 {
-			if ok {
-				t.Error("FF D-pin fault should not lift (site moved into the mux)")
-			}
-			continue
-		}
-		if !ok {
-			t.Errorf("fault %s did not lift", f.Name(c))
-			continue
-		}
-		if sc.Scan.SignalName(g.Site.Signal) != c.SignalName(f.Site.Signal) {
-			t.Errorf("lifted fault signal mismatch for %s", f.Name(c))
-		}
-		if g.SA != f.SA {
-			t.Error("stuck-at value changed in lift")
-		}
 	}
 }
 

@@ -392,40 +392,6 @@ y = NOT(a)
 	}
 }
 
-// TestDifferentialAgainstReference cross-checks parallel-fault Run
-// against the scalar reference simulator on the real s27 circuit with
-// random sequences: detection-or-not must agree for every fault, and the
-// detection time must match exactly (both record first detection).
-func TestDifferentialAgainstReference(t *testing.T) {
-	c, err := circuits.Load("s27")
-	if err != nil {
-		t.Fatal(err)
-	}
-	faults := fault.Universe(c, false)
-	rng := logic.NewRandFiller(12345)
-	for trial := 0; trial < 4; trial++ {
-		seq := make(logic.Sequence, 25)
-		for i := range seq {
-			v := logic.NewVector(c.NumInputs())
-			for j := range v {
-				if rng.Intn(10) == 0 {
-					v[j] = logic.X
-				} else {
-					v[j] = rng.Next()
-				}
-			}
-			seq[i] = v
-		}
-		res := Run(c, seq, faults, Options{})
-		for fi, f := range faults {
-			want := refDetect(c, seq, f)
-			if got := res.DetectedAt[fi]; got != want {
-				t.Fatalf("trial %d fault %s: Run=%d ref=%d", trial, f.Name(c), got, want)
-			}
-		}
-	}
-}
-
 func TestRunSubset(t *testing.T) {
 	c, _ := circuits.Load("s27")
 	faults := fault.Universe(c, false)

@@ -17,9 +17,10 @@ import (
 
 // TestTranslatePreservesDetectedSet: over several synthetic catalog
 // circuits and random conventional test sets, the translated flat
-// sequence applied to C_scan detects every liftable stem fault that the
-// (idealized, conservative) conventional application of the same tests
-// detects — translation never loses a detection.
+// sequence applied to C_scan detects every liftable stem or gate-input
+// branch fault that the (idealized, conservative) conventional
+// application of the same tests detects — translation never loses a
+// detection.
 func TestTranslatePreservesDetectedSet(t *testing.T) {
 	circuitNames := []string{"s208", "s298", "b01", "b06"}
 	seeds := []uint64{11, 12, 13}
@@ -39,7 +40,7 @@ func TestTranslatePreservesDetectedSet(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		orig, lifted := xcheck.LiftedStemFaults(d)
+		orig, lifted := xcheck.LiftedFaults(d)
 		for _, seed := range seeds {
 			t.Run(fmt.Sprintf("%s/seed%d", name, seed), func(t *testing.T) {
 				tests := randomTests(d, seed)
@@ -64,7 +65,7 @@ func TestTranslatePreservesDetectedSet(t *testing.T) {
 				if conv == 0 {
 					t.Fatal("conventional application detected nothing; test set too weak to mean anything")
 				}
-				t.Logf("%d conventionally detected stem faults, %d preserved by translation", conv, kept)
+				t.Logf("%d conventionally detected faults, %d preserved by translation", conv, kept)
 			})
 		}
 	}

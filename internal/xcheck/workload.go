@@ -249,23 +249,33 @@ func genScanTest(c *netlist.Circuit, sz sizing, rng *logic.RandFiller) (translat
 	return translate.ScanTest{SI: si, T: seq}, faults, skip
 }
 
-// LiftedStemFaults pairs every stem fault of the original circuit with
-// its image in C_scan (matched by signal name; scan insertion keeps
-// every original net under its own name). The conventional-application
-// model is evaluated on the orig faults, the translated sequence on the
-// lifted ones.
-func LiftedStemFaults(d *scan.Circuit) (orig, lifted []fault.Fault) {
+// LiftedFaults pairs every stem and gate-input branch fault of the
+// original circuit with its image in C_scan. Scan insertion keeps every
+// original net under its own name and copies every original gate with
+// its inputs in order, so a stem maps to the same-named signal and a
+// branch to the same pin of the gate driving the same-named output.
+// D-pin faults do not lift: the original D pin became a scan
+// multiplexer input. The conventional-application model is evaluated
+// on the orig faults, the translated sequence on the lifted ones.
+func LiftedFaults(d *scan.Circuit) (orig, lifted []fault.Fault) {
 	for _, f := range fault.Universe(d.Orig, false) {
-		if !f.Site.IsStem() {
+		if f.Site.FF >= 0 {
 			continue
 		}
 		id, ok := d.Scan.SignalByName(d.Orig.SignalName(f.Site.Signal))
 		if !ok {
 			continue
 		}
-		orig = append(orig, f)
 		lf := f
 		lf.Site.Signal = id
+		if !f.Site.IsStem() {
+			out, ok := d.Scan.SignalByName(d.Orig.SignalName(d.Orig.Gates[f.Site.Gate].Out))
+			if !ok || d.Scan.Signals[out].Kind != netlist.KindGate {
+				continue
+			}
+			lf.Site.Gate = d.Scan.Signals[out].Driver
+		}
+		orig = append(orig, f)
 		lifted = append(lifted, lf)
 	}
 	return orig, lifted
