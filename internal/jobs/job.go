@@ -448,14 +448,17 @@ func (j *job) assembleResultLocked() error {
 			}
 			MergeShard(sr.DetectedAt, t.shard, tr.DetectedAt)
 		}
-		for _, name := range sp.Circuits {
-			sr := byCircuit[name]
+		// Count per circuit, not per listing: a circuit listed twice
+		// shares one SimResult.
+		for _, sr := range byCircuit {
 			for _, at := range sr.DetectedAt {
 				if at != sim.NotDetected {
 					sr.Detected++
 				}
 			}
-			res.Simulate = append(res.Simulate, *sr)
+		}
+		for _, name := range sp.Circuits {
+			res.Simulate = append(res.Simulate, *byCircuit[name])
 		}
 	case FlowCompact:
 		// Per circuit: the restore task's result carries the restoration

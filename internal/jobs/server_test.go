@@ -163,6 +163,39 @@ func TestServerPartitionMerge(t *testing.T) {
 	}
 }
 
+// TestServerSimulateRepeatedCircuit: a simulate job may list a circuit
+// more than once, and every row for it equals the row of the same job
+// listing it once.
+func TestServerSimulateRepeatedCircuit(t *testing.T) {
+	spec := Spec{Flow: FlowSimulate, Circuits: []string{"s27"}, Seed: 2, SeqLen: 32}
+	_, c := testServer(t, Options{Workers: 1})
+	var once, twice Result
+	if err := json.Unmarshal(completeJob(t, c, spec), &once); err != nil {
+		t.Fatal(err)
+	}
+	spec.Circuits = []string{"s27", "s27"}
+	if err := json.Unmarshal(completeJob(t, c, spec), &twice); err != nil {
+		t.Fatal(err)
+	}
+	if len(once.Simulate) != 1 || len(twice.Simulate) != 2 {
+		t.Fatalf("rows: %d listed once, %d listed twice", len(once.Simulate), len(twice.Simulate))
+	}
+	want, err := json.Marshal(once.Simulate[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, row := range twice.Simulate {
+		got, err := json.Marshal(row)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("row %d: detected %d of %d faults, want %d of %d",
+				i, row.Detected, row.Faults, once.Simulate[0].Detected, once.Simulate[0].Faults)
+		}
+	}
+}
+
 // TestServerSuspendResume pins the interrupt path end to end: a
 // deterministic mid-run stop (StopAfterPolls) suspends the job with
 // checkpoints; resuming over HTTP completes it with result bytes
