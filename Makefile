@@ -36,12 +36,14 @@ bench-compact:
 		-benchmem -benchtime $(BENCHTIME) ./internal/compact/ | \
 		tee /dev/stderr | $(GO) run ./cmd/benchjson > BENCH_compact.json
 
-# fuzz runs the .bench parser fuzzer for a short smoke interval, as CI
-# does. Override with FUZZTIME=5m for a longer local run.
+# fuzz runs the .bench and tester-program parser fuzzers for a short
+# smoke interval each, as CI does. Override with FUZZTIME=5m for a
+# longer local run.
 FUZZTIME ?= 20s
 
 fuzz:
 	$(GO) test -fuzz=FuzzParse -fuzztime $(FUZZTIME) ./internal/bench
+	$(GO) test -fuzz=FuzzProgramParse -fuzztime $(FUZZTIME) ./internal/testprog
 
 # metrics-check exercises the -metrics flight recorder end to end: a
 # tiny s27 generation+compaction run writes a JSONL file, and

@@ -173,9 +173,10 @@ func (p *Program) Format() string {
 	return sb.String()
 }
 
-// Parse reads the textual program form back. The scan design is needed
-// only for the chain length check; vector widths are validated against
-// each other.
+// Parse reads the textual program form back: NSV from the header
+// comment, and each segment's kind and Limited mark as written. Every
+// segment must hold exactly the vectors its header declares, and every
+// vector must have the width of the first; errors name the line.
 func Parse(r io.Reader) (*Program, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
@@ -184,6 +185,7 @@ func Parse(r io.Reader) (*Program, error) {
 	want := 0
 	lineNo := 0
 	pos := 0
+	width := -1
 	for sc.Scan() {
 		lineNo++
 		line := strings.TrimSpace(sc.Text())
@@ -222,10 +224,17 @@ func Parse(r io.Reader) (*Program, error) {
 			if cur == nil {
 				return nil, fmt.Errorf("testprog: line %d: vector outside a segment", lineNo)
 			}
+			if want == 0 {
+				return nil, fmt.Errorf("testprog: line %d: more vectors than the %d its segment declares", lineNo, cur.Len())
+			}
 			v, err := logic.ParseVector(line)
 			if err != nil {
 				return nil, fmt.Errorf("testprog: line %d: %v", lineNo, err)
 			}
+			if width >= 0 && len(v) != width {
+				return nil, fmt.Errorf("testprog: line %d: vector width %d differs from %d", lineNo, len(v), width)
+			}
+			width = len(v)
 			cur.Vectors = append(cur.Vectors, v)
 			want--
 			pos++

@@ -108,16 +108,25 @@ func TestWriteParseRoundTrip(t *testing.T) {
 	}
 }
 
+// parseErrorCases are malformed programs and a substring of the error
+// each must produce.
+var parseErrorCases = []struct{ text, want string }{
+	{"scan x\n", "line 1"},
+	{"01x\n", "line 1"},                       // vector outside a segment
+	{"func 2\n0101x0\n", "short by 1"},        // short segment
+	{"scan 1\nnotavec!\n", "line 2"},          // bad vector
+	{"scan 2 limited\n01x1\n011\n", "line 3"}, // vector widths differ
+	{"func 1\n01\n10\n", "line 3"},            // more vectors than declared
+	{"func 1\n01\n10\nscan 1\n11\n", "line 3"},
+}
+
 func TestParseErrors(t *testing.T) {
-	cases := []string{
-		"scan x\n",
-		"01x\n",              // vector outside a segment
-		"func 2\n0101x0\n",   // short segment
-		"scan 1\nnotavec!\n", // bad vector
-	}
-	for _, text := range cases {
-		if _, err := Parse(strings.NewReader(text)); err == nil {
-			t.Errorf("accepted %q", text)
+	for _, tc := range parseErrorCases {
+		_, err := Parse(strings.NewReader(tc.text))
+		if err == nil {
+			t.Errorf("accepted %q", tc.text)
+		} else if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%q: error %q does not mention %q", tc.text, err, tc.want)
 		}
 	}
 }
