@@ -220,7 +220,6 @@ func TestSaveRetriesTransientInjectedErrors(t *testing.T) {
 func TestSaveReportsPersistentErrors(t *testing.T) {
 	defer failpoint.Disable()
 	fs := newStoreWithSaves(t, 0)
-	fs.Backoff = 1 // keep the test fast
 	if err := failpoint.Enable("runctl.store.write=error", 1); err != nil {
 		t.Fatal(err)
 	}

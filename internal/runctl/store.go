@@ -28,7 +28,9 @@ type Store interface {
 	Clear() error
 }
 
-// Defaults for FileStore's bounded retry of transient I/O errors.
+// FileStore's bounded retry of transient I/O errors: up to
+// defaultRetries retries after the first attempt, sleeping
+// defaultBackoff before the first and doubling it each time.
 const (
 	defaultRetries = 2
 	defaultBackoff = 2 * time.Millisecond
@@ -70,11 +72,6 @@ type FileStore struct {
 	// quarantine. The CLI points it at stderr; engines stay silent.
 	Logf func(format string, args ...any)
 
-	// Retries and Backoff bound the transient-error retry loop
-	// (defaults: 2 retries, 2ms initial backoff, doubling).
-	Retries int
-	Backoff time.Duration
-
 	mu         sync.Mutex
 	loaded     bool
 	sections   map[string]json.RawMessage
@@ -110,35 +107,23 @@ func (f *FileStore) logf(format string, args ...any) {
 	}
 }
 
-func (f *FileStore) retrySpec() (int, time.Duration) {
-	r, b := f.Retries, f.Backoff
-	if r <= 0 {
-		r = defaultRetries
-	}
-	if b <= 0 {
-		b = defaultBackoff
-	}
-	return r, b
-}
-
 // withRetry runs fn, retrying transient errors with doubling backoff.
 // Corruption is never retried: rereading the same bytes cannot help.
 func (f *FileStore) withRetry(op string, fn func() error) error {
-	retries, backoff := f.retrySpec()
 	var err error
 	for attempt := 0; ; attempt++ {
 		if err = fn(); err == nil {
 			return nil
 		}
-		if IsCorrupt(err) || attempt >= retries {
+		if IsCorrupt(err) || attempt >= defaultRetries {
 			break
 		}
-		time.Sleep(backoff << attempt)
+		time.Sleep(defaultBackoff << attempt)
 	}
 	if IsCorrupt(err) {
 		return err
 	}
-	return fmt.Errorf("runctl: %s failed after %d attempts: %w", op, retries+1, err)
+	return fmt.Errorf("runctl: %s failed after %d attempts: %w", op, defaultRetries+1, err)
 }
 
 // readGeneration reads and decodes one generation file. A missing file

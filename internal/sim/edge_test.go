@@ -169,28 +169,3 @@ func TestRunEmptyInputs(t *testing.T) {
 		t.Error("empty fault list produced results")
 	}
 }
-
-func TestInitialStateOption(t *testing.T) {
-	b := netlist.NewBuilder("ff")
-	b.AddInput("a")
-	b.AddGate(netlist.AND, "d", "a", "q")
-	b.AddFF("q", "d")
-	b.MarkOutput("q")
-	c, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	q, _ := c.SignalByName("q")
-	f := []fault.Fault{{Site: fault.Site{Signal: q, Gate: -1, Pin: -1, FF: -1}, SA: logic.Zero}}
-	seq := logic.Sequence{{logic.One}, {logic.One}}
-	// Unknown initial state: q SA0 cannot be detected (good output X).
-	noInit := Run(c, seq, f, Options{})
-	if noInit.Detected(0) {
-		t.Error("detected q SA0 from unknown state")
-	}
-	// Known initial state 1: detected immediately.
-	withInit := Run(c, seq, f, Options{InitialState: []logic.Value{logic.One}})
-	if !withInit.Detected(0) {
-		t.Error("q SA0 undetected despite known state")
-	}
-}

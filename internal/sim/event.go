@@ -413,9 +413,9 @@ const (
 // results are bit-identical to runBatch's full-evaluation path; batches
 // whose dirty region persistently covers a large fraction of the
 // circuit are handed off to that path mid-sequence.
-func (s *Simulator) runBatchEvent(m *Machine, tr *goodTrace, seq logic.Sequence, faults []fault.Fault, start int, opts Options, out []int) (steps, skipped int64) {
+func (s *Simulator) runBatchEvent(m *Machine, tr *goodTrace, seq logic.Sequence, faults []fault.Fault, start int, out []int) (steps, skipped int64) {
 	c := s.c
-	n := startBatch(m, faults, start, opts)
+	n := startBatch(m, faults, start)
 	ev := m.prepareEvent()
 	sigW, ffW := tr.sigW, tr.ffW
 	allMask := AllSlots

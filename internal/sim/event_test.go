@@ -50,8 +50,7 @@ func diffKernels(t *testing.T, s *Simulator, seq logic.Sequence, faults []fault.
 
 // TestEventKernelDifferentialSynth: the event kernel must be
 // bit-identical to the full-evaluation oracle over random circuits,
-// X-laden random sequences, random initial states, and every worker
-// count.
+// X-laden random sequences and every worker count.
 func TestEventKernelDifferentialSynth(t *testing.T) {
 	params := []circuits.Params{
 		{Name: "d1", Inputs: 4, FFs: 3, Gates: 20, Outputs: 3},
@@ -73,17 +72,9 @@ func TestEventKernelDifferentialSynth(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(p.Seed) * 7919))
 			faults := fault.Universe(c, trial%2 == 0)
 			seq := xSeq(rng, 20+rng.Intn(40), c.NumInputs(), 10+10*(trial%4))
-			opts := Options{}
-			if trial%3 == 1 {
-				init := make([]logic.Value, c.NumFFs())
-				for i := range init {
-					init[i] = logic.Value(rng.Intn(3))
-				}
-				opts.InitialState = init
-			}
 			for _, workers := range []int{1, 4} {
 				s := NewSimulator(c, workers)
-				diffKernels(t, s, seq, faults, opts, p.Name)
+				diffKernels(t, s, seq, faults, Options{}, p.Name)
 			}
 		}
 	}

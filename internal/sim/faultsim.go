@@ -76,9 +76,6 @@ const (
 
 // Options configures fault simulation.
 type Options struct {
-	// InitialState assigns the flip-flop starting values; nil means
-	// all X (the power-up-unknown model the paper uses).
-	InitialState []logic.Value
 	// Kernel selects the faulty-evaluation kernel; the zero value is
 	// the event-driven kernel. Results are identical for every kernel.
 	Kernel Kernel

@@ -54,28 +54,3 @@ func TestTracePrefixReuse(t *testing.T) {
 		t.Fatalf("trace_prefix_steps = %d, want >= 80", steps)
 	}
 }
-
-// TestTracePrefixReuseInitialState: prefix seeding must refuse to cross
-// differing initial states.
-func TestTracePrefixReuseInitialState(t *testing.T) {
-	c, err := circuits.Load("s27")
-	if err != nil {
-		t.Fatal(err)
-	}
-	faults := fault.Universe(c, true)
-	seq := randSeq(60, c.NumInputs(), 7)
-	st := make([]logic.Value, c.NumFFs())
-	for i := range st {
-		st[i] = logic.Zero
-	}
-
-	s := NewSimulator(c, 1)
-	s.Run(seq, faults, Options{})
-	got := s.Run(seq[:40], faults, Options{InitialState: st})
-	want := NewSimulator(c, 1).Run(seq[:40], faults, Options{InitialState: st})
-	for fi := range faults {
-		if got.DetectedAt[fi] != want.DetectedAt[fi] {
-			t.Fatalf("fault %d: detected at %d, want %d", fi, got.DetectedAt[fi], want.DetectedAt[fi])
-		}
-	}
-}

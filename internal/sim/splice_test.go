@@ -272,30 +272,6 @@ func TestTraceSpliceNeverReconverges(t *testing.T) {
 	}
 }
 
-// TestTraceSpliceInitialState: a trace whose Run sets a different
-// initial state does not splice from the previous trace.
-func TestTraceSpliceInitialState(t *testing.T) {
-	sc := scanDesign(t, "s298")
-	faults := fault.Universe(sc.Scan, true)
-	tail := scanTests(sc, rand.New(rand.NewSource(3)), 3, 2)
-	zero := make([]logic.Value, sc.Scan.NumFFs())
-	seq := append(logic.Sequence{sc.ShiftVector(logic.One)}, tail...)
-
-	s := NewSimulator(sc.Scan, 1)
-	reg := obs.NewRegistry()
-	s.Observe(reg)
-	checkReuse(t, s, tail, faults, Options{}, "source")
-	tr := s.acquireTrace(seq, Options{InitialState: zero})
-	if tr.src != nil {
-		t.Fatal("linked a source across differing initial states")
-	}
-	s.releaseTrace(tr)
-	checkReuse(t, s, seq, faults, Options{InitialState: zero}, "zero state")
-	if hits, _ := spliceCounts(reg); hits != 0 {
-		t.Fatalf("%d splices across differing initial states", hits)
-	}
-}
-
 // TestTraceSpliceConcurrentCallers: callers running different trial
 // chains on one Simulator at once evict traces that are still in use;
 // every result must still equal a cold run, and no source may chain.

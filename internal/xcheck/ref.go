@@ -125,17 +125,12 @@ func (m *refMachine) step(v logic.Vector) []logic.Value {
 }
 
 // RefDetect simulates seq on two independent scalar machines (fault-free
-// and with f injected) and returns the first cycle at which a primary
-// output carries a binary value opposite to a binary fault-free value,
-// or sim.NotDetected. initial (optional) sets the starting flip-flop
-// state of both machines.
-func RefDetect(c *netlist.Circuit, seq logic.Sequence, f fault.Fault, initial []logic.Value) int {
+// and with f injected), both from the all-X state, and returns the first
+// cycle at which a primary output carries a binary value opposite to a
+// binary fault-free value, or sim.NotDetected.
+func RefDetect(c *netlist.Circuit, seq logic.Sequence, f fault.Fault) int {
 	good := newRefMachine(c, nil)
 	bad := newRefMachine(c, &f)
-	if initial != nil {
-		good.setState(initial)
-		bad.setState(initial)
-	}
 	for t, v := range seq {
 		g := good.step(v)
 		b := bad.step(v)
@@ -150,10 +145,10 @@ func RefDetect(c *netlist.Circuit, seq logic.Sequence, f fault.Fault, initial []
 
 // RefDetectAll runs RefDetect for every fault, one naive single-fault
 // pass each.
-func RefDetectAll(c *netlist.Circuit, seq logic.Sequence, faults []fault.Fault, initial []logic.Value) []int {
+func RefDetectAll(c *netlist.Circuit, seq logic.Sequence, faults []fault.Fault) []int {
 	det := make([]int, len(faults))
 	for i, f := range faults {
-		det[i] = RefDetect(c, seq, f, initial)
+		det[i] = RefDetect(c, seq, f)
 	}
 	return det
 }

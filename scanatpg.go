@@ -258,8 +258,8 @@ func Simulate(c *Circuit, seq Sequence, faults []Fault) []int {
 // count; only wall-clock time changes.
 type Simulator = sim.Simulator
 
-// SimOptions configures a Simulator.Run call (initial flip-flop state;
-// the zero value is the paper's all-X power-up model).
+// SimOptions configures a Simulator.Run call (kernel and run control).
+// Every run starts from the paper's all-X power-up state.
 type SimOptions = sim.Options
 
 // NewSimulator builds a Simulator for c with the given worker count
