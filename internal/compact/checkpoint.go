@@ -18,7 +18,7 @@ var errCheckpointCorrupt = errors.New("compact: checkpoint corrupt")
 // corruptCheckpointError reports whether err is a corruption-class
 // load failure — from this package's own validation or from the store
 // layer (runctl.CorruptError) — which the compaction passes survive by
-// demoting to the scratch engine and redoing the pass from the start.
+// redoing the pass from the start.
 func corruptCheckpointError(err error) bool {
 	return errors.Is(err, errCheckpointCorrupt) || runctl.IsCorrupt(err)
 }

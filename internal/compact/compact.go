@@ -267,12 +267,10 @@ func RestoreOpts(c *netlist.Circuit, seq logic.Sequence, faults []fault.Fault, o
 			}
 		case corruptCheckpointError(err):
 			// The stored state is damaged, not from a different run:
-			// demote to the scratch engine and redo the pass from the
-			// start. Engines are bit-identical, so the output is the
-			// one the undamaged run would have produced.
+			// redo the pass from the start on the same engine, which
+			// produces the output the undamaged run would have.
 			obs.C(ob, "restore.ckpt_degraded").Inc()
 			obs.Emit(ob, "restore", "checkpoint_degraded", obs.F("error", err.Error()))
-			opts.Engine = EngineScratch
 			for i := range kept {
 				kept[i] = false
 			}

@@ -51,7 +51,7 @@ func degradedRestore(t *testing.T, store runctl.Store) {
 
 // TestRestoreCorruptedCheckpointMaskDegrades: a truncated (hand-edited)
 // kept mask must not panic inside unpackMask and must not fail the run:
-// corruption demotes to the scratch engine and redoes the pass, with
+// corruption restarts the pass from nothing on the same engine, with
 // output identical to an uninterrupted run.
 func TestRestoreCorruptedCheckpointMaskDegrades(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ckpt.json")

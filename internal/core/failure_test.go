@@ -253,9 +253,9 @@ func compactFixture(t *testing.T) (*scan.Circuit, []fault.Fault, logic.Sequence)
 
 // TestRestoreCheckpointFileCorruptionDegrades: store-layer corruption
 // (as opposed to the section-level damage tested in internal/compact)
-// must also take the documented degradation path — the pass demotes to
-// the scratch engine, redoes the work, completes with output identical
-// to an uninterrupted run, and leaves an observable counter.
+// must also take the documented degradation path — the pass restarts
+// from nothing on the same engine, completes with output identical to
+// an uninterrupted run, and leaves an observable counter.
 func TestRestoreCheckpointFileCorruptionDegrades(t *testing.T) {
 	for _, mode := range []string{"flip", "truncate", "version"} {
 		t.Run(mode, func(t *testing.T) {
