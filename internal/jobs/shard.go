@@ -1,8 +1,6 @@
 package jobs
 
 import (
-	"sync"
-
 	"repro/internal/fault"
 	"repro/internal/logic"
 	"repro/internal/netlist"
@@ -54,24 +52,12 @@ func MergeShard(det []int, r sim.FaultRange, shard []int) {
 func ShardedDetect(c *netlist.Circuit, seq logic.Sequence, faults []fault.Fault, parts, concurrency int) []int {
 	det := make([]int, len(faults))
 	ranges := sim.PartitionFaults(len(faults), parts)
-	if concurrency < 1 {
-		concurrency = 1
-	}
-	sem := make(chan struct{}, concurrency)
-	var wg sync.WaitGroup
-	for _, r := range ranges {
-		if r.Len() == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(r sim.FaultRange) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
+	sim.Parallel(concurrency, len(ranges), func(_, i int) bool {
+		if r := ranges[i]; r.Len() > 0 {
 			res := RunShard(sim.NewSimulator(c, 1), seq, faults, r, sim.Options{})
 			MergeShard(det, r, res.DetectedAt)
-		}(r)
-	}
-	wg.Wait()
+		}
+		return true
+	})
 	return det
 }

@@ -2,8 +2,6 @@ package seqatpg
 
 import (
 	"math/bits"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/fault"
 	"repro/internal/logic"
@@ -122,35 +120,15 @@ func (mgr *Manager) locate(i int) (*faultBatch, int) {
 func (mgr *Manager) Append(v logic.Vector) []int {
 	mgr.good.Step(v)
 	goodVals := mgr.good.OutputRow()
-	nw := mgr.sim.Workers()
-	if nw > len(mgr.batches) {
-		nw = len(mgr.batches)
+	workers := mgr.sim.Workers()
+	if len(mgr.batches) < minParallelBatches {
+		workers = 1
 	}
-	if nw <= 1 || len(mgr.batches) < minParallelBatches {
-		var newly []int
-		for _, b := range mgr.batches {
-			newly = append(newly, mgr.stepBatch(b, v, goodVals)...)
-		}
-		mgr.now++
-		return newly
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < nw; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				bi := int(next.Add(1)) - 1
-				if bi >= len(mgr.batches) {
-					return
-				}
-				b := mgr.batches[bi]
-				b.newly = mgr.stepBatch(b, v, goodVals)
-			}
-		}()
-	}
-	wg.Wait()
+	sim.Parallel(workers, len(mgr.batches), func(_, bi int) bool {
+		b := mgr.batches[bi]
+		b.newly = mgr.stepBatch(b, v, goodVals)
+		return true
+	})
 	var newly []int
 	for _, b := range mgr.batches {
 		newly = append(newly, b.newly...)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -120,6 +121,39 @@ func TestRunCancellationReturnsPartial(t *testing.T) {
 	if res.NumDetected() != 0 {
 		// Pre-canceled control: no batch may run.
 		t.Fatalf("canceled-before-start run detected %d faults", res.NumDetected())
+	}
+}
+
+// TestRunStatusIndependentOfWorkers: a run that finishes every batch
+// reports Complete at every worker count. s298's C_scan has 7 fault
+// batches, so a budget that stops at the 8th poll never stops a batch.
+// A two-worker run used to poll once more per worker on its failed
+// batch claims and again after its workers drained, and so reported
+// Canceled with a complete result.
+func TestRunStatusIndependentOfWorkers(t *testing.T) {
+	c, err := circuits.Load("s298")
+	if err != nil {
+		t.Fatal(err)
+	}
+	scd, err := scan.Insert(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	faults := fault.Universe(scd.Scan, true)
+	if nb := (len(faults) + Slots - 1) / Slots; nb != 7 {
+		t.Fatalf("s298 C_scan has %d fault batches, want 7", nb)
+	}
+	seq := randSeq(64, scd.Scan.NumInputs(), 7)
+	want := NewSimulator(scd.Scan, 1).Run(seq, faults, Options{})
+	for _, workers := range []int{1, 2} {
+		ctl := &runctl.Control{Budget: runctl.Budget{StopAfterPolls: 8}}
+		res := NewSimulator(scd.Scan, workers).Run(seq, faults, Options{Control: ctl})
+		if res.Status != runctl.Complete {
+			t.Errorf("workers=%d: status %v, want complete", workers, res.Status)
+		}
+		if !slices.Equal(res.DetectedAt, want.DetectedAt) {
+			t.Errorf("workers=%d: DetectedAt differs from an unbudgeted run", workers)
+		}
 	}
 }
 

@@ -126,6 +126,64 @@ func FinalState(c *netlist.Circuit, seq logic.Sequence, initial []logic.Value) [
 	return m.StateSlot(0)
 }
 
+// Parallel calls fn(w, i) once for every index i in [0, n), handing the
+// indices out in increasing order from one counter to up to workers
+// goroutines; w (0 <= w < min(workers, n)) names the goroutine, so fn
+// can keep per-worker state in a slice. With one worker (or fewer) it
+// runs inline on the caller's goroutine. Once a call returns false no
+// further index is handed out; calls already running finish. Parallel
+// returns when every call has. Calls on different goroutines run
+// concurrently, so fn must synchronize whatever its calls share.
+func Parallel(workers, n int, fn func(w, i int) bool) {
+	workers = min(workers, n)
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			if !fn(0, i) {
+				return
+			}
+		}
+		return
+	}
+	var next atomic.Int64
+	var stopped atomic.Bool
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			for !stopped.Load() {
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					return
+				}
+				if !fn(w, i) {
+					stopped.Store(true)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// forBatches runs fn(m, bi) for the batch indices 0..n-1 through
+// Parallel on up to Workers() goroutines. A worker checks one machine
+// out of the pool when it is handed its first batch and keeps it for
+// its later batches; a worker handed none takes none.
+func (s *Simulator) forBatches(n int, fn func(m *Machine, bi int) bool) {
+	ms := make([]*Machine, min(s.workers, n))
+	Parallel(s.workers, n, func(w, bi int) bool {
+		if ms[w] == nil {
+			ms[w] = s.Acquire()
+		}
+		return fn(ms[w], bi)
+	})
+	for _, m := range ms {
+		if m != nil {
+			s.Release(m)
+		}
+	}
+}
+
 // ForEachBatch splits n fault indices into batches of up to 64, [lo, hi),
 // and calls fn(m, lo, hi) once per batch on up to Workers() goroutines,
 // each with its own machine from the pool. A machine arrives as the
@@ -134,35 +192,10 @@ func FinalState(c *netlist.Circuit, seq logic.Sequence, initial []logic.Value) [
 // concurrently, so fn must write only what its batch owns; results are
 // then identical for every worker count.
 func (s *Simulator) ForEachBatch(n int, fn func(m *Machine, lo, hi int)) {
-	nBatches := (n + Slots - 1) / Slots
-	batch := func(m *Machine, bi int) { fn(m, bi*Slots, min((bi+1)*Slots, n)) }
-	nw := min(s.workers, nBatches)
-	if nw <= 1 {
-		m := s.Acquire()
-		for bi := 0; bi < nBatches; bi++ {
-			batch(m, bi)
-		}
-		s.Release(m)
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < nw; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			m := s.Acquire()
-			defer s.Release(m)
-			for {
-				bi := int(next.Add(1)) - 1
-				if bi >= nBatches {
-					return
-				}
-				batch(m, bi)
-			}
-		}()
-	}
-	wg.Wait()
+	s.forBatches((n+Slots-1)/Slots, func(m *Machine, bi int) bool {
+		fn(m, bi*Slots, min((bi+1)*Slots, n))
+		return true
+	})
 }
 
 // RunScanTest grades one conventional scan test (SI, T) on a circuit

@@ -480,9 +480,12 @@ func (s *Simulator) Run(seq logic.Sequence, faults []fault.Fault, opts Options) 
 // (len(det) == len(faults)), which becomes the result's DetectedAt.
 //
 // With opts.Control set, batch boundaries are cancellation points:
-// workers stop claiming batches once the budget stops the run (or once
-// any batch fails), in-flight batches drain, and the partial detection
-// state is checkpointed. Worker panics are recovered into a PanicError
+// each batch not yet done is preceded by one poll, workers stop
+// claiming batches once a poll stops the run (or once any batch fails),
+// in-flight batches drain, and the partial detection state is
+// checkpointed. The status comes from the poll that stopped a batch, so
+// a run that finished every batch reports Complete or Resumed at any
+// worker count. Worker panics are recovered into a PanicError
 // on Result.Err; without a Control the PanicError re-panics on the
 // calling goroutine so legacy callers keep fail-fast semantics, but the
 // process can no longer die (or leak workers) from a panic on an
@@ -513,108 +516,49 @@ func (s *Simulator) runInto(seq logic.Sequence, faults []fault.Fault, opts Optio
 	tr := s.acquireTrace(seq, opts)
 	defer s.releaseTrace(tr)
 
-	nw := s.workers
-	if nw > nBatches {
-		nw = nBatches
-	}
-	if nw <= 1 {
-		m := s.Acquire()
-		for bi := 0; bi < nBatches; bi++ {
-			if done[bi] {
-				continue
-			}
-			if st, stop := ctl.ShouldStop(); stop {
-				res.Status = st
-				break
-			}
-			steps, skipped, err := s.runBatchSafe(m, tr, seq, faults, bi, opts, det)
-			res.BatchSteps += steps
-			res.FastForwarded += skipped
-			if err != nil {
-				res.Err = err
-				res.Status = runctl.Failed
-				ctl.Fail()
-				break
-			}
-			done[bi] = true
-			if ctl != nil && ctl.Store != nil {
-				saveSimCheckpoint(ctl, len(seq), done, det, true)
-			}
+	// Per-batch periodic checkpoints are one-worker only: with more
+	// workers, the batches still in flight are writing det.
+	periodic := ctl != nil && ctl.Store != nil && min(s.workers, nBatches) == 1
+	var mu sync.Mutex // guards res
+	s.forBatches(nBatches, func(m *Machine, bi int) bool {
+		if done[bi] {
+			return true
 		}
-		s.Release(m)
-		return s.finishRun(res, ctl, opts, seq, done, det, resumed)
-	}
-
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	var failed atomic.Bool
-	var errMu sync.Mutex
-	var firstErr error
-	steps := make([]int64, nw)
-	skips := make([]int64, nw)
-	for w := 0; w < nw; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			m := s.Acquire()
-			defer s.Release(m)
-			for {
-				if failed.Load() {
-					return
-				}
-				if _, stop := ctl.ShouldStop(); stop {
-					return
-				}
-				bi := int(next.Add(1)) - 1
-				if bi >= nBatches {
-					return
-				}
-				if done[bi] {
-					continue
-				}
-				// Batches write disjoint DetectedAt and done indices, so
-				// no synchronization beyond the WaitGroup is needed.
-				st, sk, err := s.runBatchSafe(m, tr, seq, faults, bi, opts, det)
-				steps[w] += st
-				skips[w] += sk
-				if err != nil {
-					errMu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					errMu.Unlock()
-					failed.Store(true)
-					ctl.Fail()
-					return
-				}
-				done[bi] = true
-			}
-		}(w)
-	}
-	wg.Wait()
-	for w := range steps {
-		res.BatchSteps += steps[w]
-		res.FastForwarded += skips[w]
-	}
-	if firstErr != nil {
-		res.Err = firstErr
-		res.Status = runctl.Failed
-	} else if st, stop := ctl.ShouldStop(); stop {
-		res.Status = st
-	}
-	return s.finishRun(res, ctl, opts, seq, done, det, resumed)
-}
-
-// finishRun settles the result's final Status, persists the checkpoint,
-// and re-panics recovered worker failures for control-less callers.
-func (s *Simulator) finishRun(res Result, ctl *runctl.Control, opts Options, seq logic.Sequence, done []bool, det []int, resumed bool) Result {
+		if st, stop := ctl.ShouldStop(); stop {
+			mu.Lock()
+			res.Status = st
+			mu.Unlock()
+			return false
+		}
+		// Batches write disjoint det and done indices, so they run
+		// outside the lock.
+		steps, skipped, err := s.runBatchSafe(m, tr, seq, faults, bi, opts, det)
+		mu.Lock()
+		res.BatchSteps += steps
+		res.FastForwarded += skipped
+		if err != nil && res.Err == nil {
+			res.Err = err
+		}
+		mu.Unlock()
+		if err != nil {
+			ctl.Fail()
+			return false
+		}
+		done[bi] = true
+		if periodic {
+			saveSimCheckpoint(ctl, len(seq), done, det, true)
+		}
+		return true
+	})
 	s.cRuns.Inc()
 	s.cSteps.Add(res.BatchSteps)
 	s.cFastFwd.Add(res.FastForwarded)
-	if res.Err != nil && ctl == nil {
+	switch {
+	case res.Err != nil && ctl == nil:
 		panic(res.Err)
-	}
-	if !res.Status.Stopped() {
+	case res.Err != nil:
+		res.Status = runctl.Failed
+	case !res.Status.Stopped():
 		res.Status = runctl.Final(resumed)
 	}
 	if ctl != nil && ctl.Store != nil {

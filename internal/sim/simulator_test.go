@@ -1,6 +1,9 @@
 package sim
 
 import (
+	"runtime"
+	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/circuits"
@@ -47,6 +50,84 @@ func TestSimulatorDeterminism(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// goroutineID returns the calling goroutine's id from its stack header.
+func goroutineID() string {
+	buf := make([]byte, 64)
+	return strings.Fields(string(buf[:runtime.Stack(buf, false)]))[1]
+}
+
+// TestParallel: every index is handed out exactly once, to a worker
+// number below the worker count; one worker runs inline on the caller's
+// goroutine; and once a call returns false no further index is handed
+// out.
+func TestParallel(t *testing.T) {
+	const n = 1000
+	caller := goroutineID()
+	for _, workers := range []int{1, 2, 4} {
+		var visits [n]atomic.Int32
+		var offCaller atomic.Bool
+		Parallel(workers, n, func(w, i int) bool {
+			if w < 0 || w >= workers {
+				t.Errorf("workers=%d: index %d handed to worker %d", workers, i, w)
+			}
+			visits[i].Add(1)
+			if goroutineID() != caller {
+				offCaller.Store(true)
+			}
+			return true
+		})
+		for i := range visits {
+			if v := visits[i].Load(); v != 1 {
+				t.Fatalf("workers=%d: index %d visited %d times", workers, i, v)
+			}
+		}
+		if inline := !offCaller.Load(); inline != (workers == 1) {
+			t.Errorf("workers=%d: ran inline = %v", workers, inline)
+		}
+
+		// Every call from index k on returns false. Indices are handed
+		// out in increasing order, so all of 0..k-1 run; a worker's false
+		// ends its calls, so at most one index from k on runs per worker,
+		// and with one worker exactly k+1 calls run.
+		const k = 100
+		var calls, late atomic.Int32
+		stoppedWorker := make([]atomic.Bool, workers)
+		Parallel(workers, n, func(w, i int) bool {
+			calls.Add(1)
+			if stoppedWorker[w].Load() {
+				t.Errorf("workers=%d: worker %d handed index %d after returning false", workers, w, i)
+			}
+			if i < k {
+				return true
+			}
+			late.Add(1)
+			stoppedWorker[w].Store(true)
+			return false
+		})
+		if got := int(late.Load()); got < 1 || got > workers {
+			t.Errorf("workers=%d: %d indices from %d on ran, want 1..%d", workers, got, k, workers)
+		}
+		if got := int(calls.Load() - late.Load()); got != k {
+			t.Errorf("workers=%d: %d indices below %d ran, want %d", workers, got, k, k)
+		}
+		if workers == 1 && calls.Load() != k+1 {
+			t.Errorf("one worker: %d calls, want %d", calls.Load(), k+1)
+		}
+
+		// Only index k returns false: the other workers stop too, long
+		// before they could run the remaining million indices.
+		const big = 1 << 20
+		calls.Store(0)
+		Parallel(workers, big, func(_, i int) bool {
+			calls.Add(1)
+			return i != k
+		})
+		if got := calls.Load(); got <= k || got >= big {
+			t.Errorf("workers=%d: %d calls after a false at index %d of %d", workers, got, k, big)
+		}
 	}
 }
 
