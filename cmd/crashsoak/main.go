@@ -114,7 +114,7 @@ func runChild(flow, dir string, resume bool) int {
 	case "generate":
 		sc, faults := loadScan("s298")
 		res := seqatpg.Generate(sc, faults, seqatpg.Options{
-			Seed: 11, Passes: 1, RandomPhase: 4, Control: ctl, Obs: rt.Observer()})
+			Seed: 11, Passes: 1, Control: ctl, Obs: rt.Observer()})
 		if res.Status != runctl.Complete && res.Status != runctl.Resumed {
 			return fail(fmt.Errorf("generate: status %v err %v", res.Status, res.Err))
 		}

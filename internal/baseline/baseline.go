@@ -24,28 +24,18 @@ import (
 type Options struct {
 	// Seed drives random fills and candidate vectors.
 	Seed uint64
-	// MaxExtension bounds how many functional vectors may follow the
-	// first one in a test (default: number of flip-flops, at least 4).
-	MaxExtension int
-	// PodemBacktracks bounds each PODEM call (default 100).
-	PodemBacktracks int
 	// Workers is the fault-simulation worker count (0 = GOMAXPROCS).
 	// The generated test set is identical for every value.
 	Workers int
 }
 
-func (o Options) withDefaults(nsv int) Options {
-	if o.MaxExtension <= 0 {
-		o.MaxExtension = nsv
-		if o.MaxExtension < 4 {
-			o.MaxExtension = 4
-		}
-	}
-	if o.PodemBacktracks <= 0 {
-		o.PodemBacktracks = 100
-	}
-	return o
-}
+// podemBacktracks bounds each state-assigning PODEM call; the per-frame
+// calls of the greedy extension get half as many.
+const podemBacktracks = 100
+
+// maxExtension bounds how many functional vectors may follow the first
+// one in a test, on a circuit with nff flip-flops.
+func maxExtension(nff int) int { return max(nff, 4) }
 
 // Result reports baseline generation.
 type Result struct {
@@ -72,13 +62,13 @@ func (r Result) NumDetected() int {
 // Generate produces a compacted conventional scan test set for circuit
 // c (the original, non-scan circuit) and fault list faults.
 func Generate(c *netlist.Circuit, faults []fault.Fault, opts Options) Result {
-	opts = opts.withDefaults(c.NumFFs())
 	s := sim.NewSimulator(c, opts.Workers)
+	extension := maxExtension(c.NumFFs())
 	rng := logic.NewRandFiller(opts.Seed ^ 0x5DEECE66D)
 	full := combatpg.NewGenerator(c, combatpg.Options{
 		AssignState:   true,
 		ObservePPO:    true,
-		MaxBacktracks: opts.PodemBacktracks,
+		MaxBacktracks: podemBacktracks,
 	})
 
 	detected := make([]int, len(faults))
@@ -105,9 +95,9 @@ func Generate(c *netlist.Circuit, faults []fault.Fault, opts Options) Result {
 		prev := s.RunScanTest(test.SI, test.T, faults, detected)
 		frame := combatpg.NewGenerator(c, combatpg.Options{
 			ObservePPO:    true,
-			MaxBacktracks: opts.PodemBacktracks / 2,
+			MaxBacktracks: podemBacktracks / 2,
 		})
-		for ext := 0; ext < opts.MaxExtension; ext++ {
+		for ext := 0; ext < extension; ext++ {
 			cand := nextVector(s, test, faults, detected, prev, frame, rng)
 			trial := translate.ScanTest{SI: test.SI, T: append(test.T.Clone(), cand)}
 			got := s.RunScanTest(trial.SI, trial.T, faults, detected)

@@ -123,12 +123,10 @@ func TestSimulateTestSkip(t *testing.T) {
 }
 
 func TestOptionsDefaults(t *testing.T) {
-	o := Options{}.withDefaults(2)
-	if o.MaxExtension != 4 || o.PodemBacktracks != 100 {
-		t.Errorf("defaults = %+v", o)
+	if got := maxExtension(2); got != 4 {
+		t.Errorf("maxExtension(2) = %d, want the floor 4", got)
 	}
-	o = Options{}.withDefaults(30)
-	if o.MaxExtension != 30 {
-		t.Errorf("MaxExtension = %d", o.MaxExtension)
+	if got := maxExtension(30); got != 30 {
+		t.Errorf("maxExtension(30) = %d, want one per flip-flop", got)
 	}
 }

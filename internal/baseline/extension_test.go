@@ -24,14 +24,16 @@ func TestCyclesAccounting(t *testing.T) {
 	}
 }
 
-// TestExtensionBounded: no test may exceed the extension limit.
+// TestExtensionBounded: no test may exceed the extension limit, one
+// vector per flip-flop (at least 4) after the first.
 func TestExtensionBounded(t *testing.T) {
 	c, _ := circuits.Load("s298")
 	faults := fault.Universe(c, true)
-	res := Generate(c, faults, Options{Seed: 1, MaxExtension: 3})
+	res := Generate(c, faults, Options{Seed: 1})
+	limit := 1 + maxExtension(c.NumFFs())
 	for ti, test := range res.Tests {
-		if len(test.T) > 1+3 {
-			t.Errorf("test %d has %d functional vectors, limit 4", ti, len(test.T))
+		if len(test.T) > limit {
+			t.Errorf("test %d has %d functional vectors, limit %d", ti, len(test.T), limit)
 		}
 	}
 }

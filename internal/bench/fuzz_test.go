@@ -65,8 +65,9 @@ func FuzzParse(f *testing.F) {
 
 // TestParsePositionedErrors pins the diagnostics for each malformed
 // class the fuzz corpus covers: line-numbered for syntax errors and
-// duplicate definitions, by class for combinational cycles and undriven
-// nets, which the netlist builder finds after parsing.
+// duplicate definitions, by the signals involved for combinational
+// cycles and undriven nets, which the netlist builder finds after
+// parsing.
 func TestParsePositionedErrors(t *testing.T) {
 	cases := []struct {
 		name, text, wantSub string
@@ -79,7 +80,7 @@ func TestParsePositionedErrors(t *testing.T) {
 		{"dup-mixed", "INPUT(a)\nq = DFF(a)\nINPUT(q)\n", `"q" already defined at line 2`},
 		{"multiply-driven-net", "INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = NOT(a)\ny = NOT(b)\n", `"y" already defined at line 4`},
 		{"self-loop", "INPUT(a)\ny = AND(a, y)\n", "reads its own output"},
-		{"combinational-loop", "INPUT(a)\nOUTPUT(y)\ny = AND(a, z)\nz = OR(a, y)\n", "combinational cycle"},
+		{"combinational-loop", "INPUT(a)\nOUTPUT(y)\ny = AND(a, z)\nz = OR(a, y)\n", "combinational cycle: z -> y -> z"},
 		{"undriven-net", "INPUT(a)\nOUTPUT(y)\ny = AND(a, ghost)\n", "undriven"},
 	}
 	for _, tc := range cases {

@@ -68,7 +68,7 @@ func genFixture(t *testing.T) (*scan.Circuit, []fault.Fault, seqatpg.Options) {
 		t.Fatal(err)
 	}
 	faults := fault.Universe(sc.ScanCircuit(), true)
-	return sc, faults, seqatpg.Options{Seed: 11, Passes: 1, RandomPhase: 4}
+	return sc, faults, seqatpg.Options{Seed: 11, Passes: 1}
 }
 
 // interruptedGenerate runs two budget-limited legs so both checkpoint

@@ -77,8 +77,8 @@ type Spec struct {
 	// result is bit-identical for every value.
 	Partitions int `json:"partitions,omitempty"`
 	// SeqLen is the FlowSimulate/FlowCompact sequence length (0 = 128
-	// vectors). The sequence is a pure function of (circuit, seed,
-	// seq_len).
+	// vectors, at most 65536). The sequence is a pure function of
+	// (circuit, seed, seq_len).
 	SeqLen int `json:"seq_len,omitempty"`
 	// OmitShards splits each FlowCompact circuit's omission pass into
 	// this many chained window chunks, claimable by different workers as
@@ -123,6 +123,12 @@ func specErrf(field, format string, args ...any) error {
 	return &SpecError{Field: field, Reason: fmt.Sprintf(format, args...)}
 }
 
+// maxSeqLen caps Spec.SeqLen: a task allocates its whole sequence up
+// front, so an unbounded length lets one submission exhaust a worker's
+// memory. It is 16 times the 4096 vectors of the perfbench scand-fleet
+// workload's simulate jobs, the longest sequence the repository runs.
+const maxSeqLen = 65536
+
 // validFlows in display order for error messages.
 var validFlows = []string{FlowGenerate, FlowTranslate, FlowSimulate, FlowCompact}
 
@@ -166,6 +172,9 @@ func (s *Spec) Validate() error {
 	}
 	if s.SeqLen < 0 {
 		return specErrf("seq_len", "must be non-negative")
+	}
+	if s.SeqLen > maxSeqLen {
+		return specErrf("seq_len", "more than %d vectors", maxSeqLen)
 	}
 	if s.SeqLen > 0 && s.Flow != FlowSimulate && s.Flow != FlowCompact {
 		return specErrf("seq_len", "applies to the simulate and compact flows only")

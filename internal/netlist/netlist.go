@@ -12,6 +12,7 @@ package netlist
 import (
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 )
 
@@ -405,9 +406,42 @@ func (c *Circuit) levelize() error {
 		}
 	}
 	if len(c.Order) != n {
-		return fmt.Errorf("netlist: circuit %q has a combinational cycle", c.Name)
+		return fmt.Errorf("netlist: circuit %q has a combinational cycle: %s", c.Name, strings.Join(c.cycle(indeg), " -> "))
 	}
 	return nil
+}
+
+// cycle names the output signals of one loop among the gates levelize
+// left unordered (indeg > 0), in signal-flow order, repeating the first
+// at the end. An unordered gate's in-degree counts the inputs driven by
+// other unordered gates, so the walk from one such gate to the driver
+// of such an input, and on, must revisit a gate.
+func (c *Circuit) cycle(indeg []int32) []string {
+	gi := int32(0)
+	for indeg[gi] == 0 {
+		gi++
+	}
+	pos := make(map[int32]int)
+	var path []int32 // each gate reads the next one's output
+	for {
+		if j, seen := pos[gi]; seen {
+			path = path[j:]
+			break
+		}
+		pos[gi] = len(path)
+		path = append(path, gi)
+		for _, in := range c.Gates[gi].In {
+			if sig := c.Signals[in]; sig.Kind == KindGate && indeg[sig.Driver] > 0 {
+				gi = sig.Driver
+				break
+			}
+		}
+	}
+	names := make([]string, 0, len(path)+1)
+	for k := len(path) - 1; k >= 0; k-- {
+		names = append(names, c.Signals[c.Gates[path[k]].Out].Name)
+	}
+	return append(names, names[0])
 }
 
 func (c *Circuit) buildFanout() {

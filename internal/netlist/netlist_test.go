@@ -63,8 +63,9 @@ func TestBuilderCombinationalCycle(t *testing.T) {
 	b.AddGate(AND, "x", "a", "y")
 	b.AddGate(AND, "y", "a", "x")
 	b.MarkOutput("x")
-	if _, err := b.Build(); err == nil || !strings.Contains(err.Error(), "cycle") {
-		t.Fatalf("expected cycle error, got %v", err)
+	// x reads y and y reads x, so the loop runs y -> x -> y.
+	if _, err := b.Build(); err == nil || !strings.Contains(err.Error(), "combinational cycle: y -> x -> y") {
+		t.Fatalf("expected a cycle error naming y -> x -> y, got %v", err)
 	}
 }
 

@@ -60,11 +60,17 @@ func (c *CLI) Build() (*Control, error) {
 	if c.Timeout == 0 && c.Checkpoint == "" && c.MaxAttempts == 0 && c.MaxTrials == 0 {
 		return nil, nil
 	}
-	ctx, cancel := context.WithCancel(context.Background())
+	// The -timeout clock starts here, right before the run.
+	var ctx context.Context
+	var cancel context.CancelFunc
+	if c.Timeout > 0 {
+		ctx, cancel = context.WithTimeout(context.Background(), c.Timeout)
+	} else {
+		ctx, cancel = context.WithCancel(context.Background())
+	}
 	ctl := &Control{
 		Budget: Budget{
 			Ctx:         ctx,
-			Timeout:     c.Timeout,
 			MaxAttempts: c.MaxAttempts,
 			MaxTrials:   c.MaxTrials,
 		},

@@ -30,6 +30,19 @@ func TestBuildDrainsOnSIGTERM(t *testing.T) {
 	}
 }
 
+// TestBuildTimeout: -timeout bounds the run through the budget
+// context, so an expired one stops with DeadlineExceeded.
+func TestBuildTimeout(t *testing.T) {
+	ctl, err := (&CLI{Timeout: time.Millisecond, Program: "runctl-test"}).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-ctl.Budget.Ctx.Done()
+	if st, stop := ctl.ShouldStop(); !stop || st != DeadlineExceeded {
+		t.Fatalf("ShouldStop after -timeout = %v, %v; want a deadline exceeded stop", st, stop)
+	}
+}
+
 func TestBuildRejectsBadFailpointSpec(t *testing.T) {
 	c := &CLI{Failpoints: "site=explode", Program: "runctl-test"}
 	if _, err := c.Build(); err == nil {

@@ -2,7 +2,7 @@
 // library's long-running engines: sequential test generation
 // (seqatpg.Generate), static compaction (compact.RestoreOpts/OmitOpts)
 // and fault simulation (sim.Simulator.Run). A Control carries a Budget
-// (context cancellation, wall-clock deadline, attempt/trial caps) and an
+// (context cancellation and deadline, attempt/trial caps) and an
 // optional checkpoint Store; engines poll it at their natural work
 // boundaries — per fault attempt, per compaction trial, per fault batch
 // — and, when told to stop, persist their state and return partial
@@ -18,9 +18,7 @@ package runctl
 import (
 	"context"
 	"fmt"
-	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Status classifies how an engine run ended.
@@ -109,11 +107,10 @@ type Budget struct {
 	// Ctx, when non-nil, cancels the run; engines observe the
 	// cancellation at their next work boundary (Canceled status, or
 	// DeadlineExceeded when the context expired on its own deadline).
+	// A wall-clock budget is a context.WithTimeout context; one Control
+	// shared by a generate→restore→omit pipeline bounds the whole
+	// pipeline.
 	Ctx context.Context
-	// Timeout, when positive, is the wall-clock budget measured from
-	// the Control's first poll (so one Control shared by a
-	// generate→restore→omit pipeline bounds the whole pipeline).
-	Timeout time.Duration
 	// MaxAttempts, when positive, caps the per-fault generation
 	// attempts charged via Control.Attempt.
 	MaxAttempts int64
@@ -123,19 +120,18 @@ type Budget struct {
 	// StopAfterPolls, when positive, stops the run with Canceled at the
 	// n-th cancellation poll (every ShouldStop, Attempt and Trial call
 	// counts as one poll). It is an interrupt-injection hook for
-	// correctness harnesses (internal/xcheck): unlike Timeout it lands
-	// the stop on an exact, reproducible work boundary — poll sequences
-	// are deterministic for single-worker engines — so checkpoint/resume
-	// bit-identity can be checked at arbitrary interrupt points without
-	// wall-clock flakiness.
+	// correctness harnesses (internal/xcheck): unlike a deadline it
+	// lands the stop on an exact, reproducible work boundary — poll
+	// sequences are deterministic for single-worker engines only — so
+	// checkpoint/resume bit-identity can be checked at arbitrary
+	// interrupt points without wall-clock flakiness.
 	StopAfterPolls int64
 }
 
 // Control threads a Budget and an optional checkpoint Store through one
-// run (possibly spanning several engines). Construct with a literal;
-// the deadline starts ticking at the first poll. A stop is sticky: once
-// any poll reports a stop status, every later poll reports the same
-// status, so downstream pipeline stages wind down too.
+// run (possibly spanning several engines). Construct with a literal. A
+// stop is sticky: once any poll reports a stop status, every later poll
+// reports the same status, so downstream pipeline stages wind down too.
 type Control struct {
 	// Budget bounds the run.
 	Budget Budget
@@ -151,22 +147,11 @@ type Control struct {
 	// completion are never throttled.
 	SaveEvery int
 
-	initOnce sync.Once
-	deadline time.Time
-
 	attempts atomic.Int64
 	trials   atomic.Int64
 	ticks    atomic.Int64
 	polls    atomic.Int64
 	stopped  atomic.Int32 // 0 = running, else the sticky Status
-}
-
-func (c *Control) init() {
-	c.initOnce.Do(func() {
-		if c.Budget.Timeout > 0 {
-			c.deadline = time.Now().Add(c.Budget.Timeout)
-		}
-	})
 }
 
 // stop records st as the sticky stop status (first stop wins) and
@@ -193,7 +178,6 @@ func (c *Control) ShouldStop() (Status, bool) {
 	if c == nil {
 		return Complete, false
 	}
-	c.init()
 	if st := Status(c.stopped.Load()); st != 0 {
 		return st, true
 	}
@@ -205,9 +189,6 @@ func (c *Control) ShouldStop() (Status, bool) {
 		default:
 			return c.stop(Canceled), true
 		}
-	}
-	if !c.deadline.IsZero() && !time.Now().Before(c.deadline) {
-		return c.stop(DeadlineExceeded), true
 	}
 	if n := c.Budget.StopAfterPolls; n > 0 && c.polls.Add(1) >= n {
 		return c.stop(Canceled), true

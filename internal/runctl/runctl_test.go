@@ -94,20 +94,12 @@ func TestStopAfterPollsCountsAttemptsAndTrials(t *testing.T) {
 }
 
 func TestDeadline(t *testing.T) {
-	c := &Control{Budget: Budget{Timeout: time.Millisecond}}
-	c.ShouldStop() // starts the clock
-	deadline := time.Now().Add(time.Second)
-	for {
-		if st, stop := c.ShouldStop(); stop {
-			if st != DeadlineExceeded {
-				t.Fatalf("status = %v", st)
-			}
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("deadline never fired")
-		}
-		time.Sleep(time.Millisecond)
+	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
+	defer cancel()
+	c := &Control{Budget: Budget{Ctx: ctx}}
+	<-ctx.Done()
+	if st, stop := c.ShouldStop(); !stop || st != DeadlineExceeded {
+		t.Fatalf("ShouldStop after the deadline = %v, %v; want a deadline exceeded stop", st, stop)
 	}
 }
 

@@ -31,25 +31,27 @@ type genCheckpoint struct {
 	Done     bool   `json:"done"`
 }
 
-// genParams fingerprints every option that influences the generated
-// sequence (worker count deliberately excluded: results are identical
-// for every value).
-func genParams(opts Options) string {
-	return fmt.Sprintf("seed=%d passes=%d frames=%d cands=%d podem=%d noscan=%v rand=%d",
-		opts.Seed, opts.Passes, opts.MaxFrames, opts.Candidates,
-		opts.PodemBacktracks, opts.DisableScanKnowledge, opts.RandomPhase)
+// genParams fingerprints every setting that influences the generated
+// sequence: the options (worker count deliberately excluded: results
+// are identical for every value) and the search bounds, frames being
+// the circuit's maxFrames. The string must not change, or checkpoints
+// already written stop resuming; that is why it still ends in rand=0,
+// the length of a random prefix that generation no longer has.
+func genParams(opts Options, frames int) string {
+	return fmt.Sprintf("seed=%d passes=%d frames=%d cands=%d podem=%d noscan=%v rand=0",
+		opts.Seed, opts.Passes, frames, candidates, podemBacktracks, opts.DisableScanKnowledge)
 }
 
-// loadGenCheckpoint restores a prior Generate run. It returns the
-// parsed checkpoint and sequence, or ok=false when no checkpoint
-// section exists.
-func loadGenCheckpoint(ctl *runctl.Control, opts Options, nFaults, nInputs int) (st genCheckpoint, seq logic.Sequence, ok bool, err error) {
+// loadGenCheckpoint restores a prior Generate run whose fingerprint is
+// params. It returns the parsed checkpoint and sequence, or ok=false
+// when no checkpoint section exists.
+func loadGenCheckpoint(ctl *runctl.Control, params string, nFaults, nInputs int) (st genCheckpoint, seq logic.Sequence, ok bool, err error) {
 	ok, err = ctl.Load(genSection, &st)
 	if err != nil || !ok {
 		return st, nil, false, err
 	}
-	if want := genParams(opts); st.Params != want {
-		return st, nil, false, fmt.Errorf("seqatpg: checkpoint generated under %q, run uses %q", st.Params, want)
+	if st.Params != params {
+		return st, nil, false, fmt.Errorf("seqatpg: checkpoint generated under %q, run uses %q", st.Params, params)
 	}
 	if st.Faults != nFaults || st.Inputs != nInputs {
 		return st, nil, false, fmt.Errorf("seqatpg: checkpoint for %d faults / %d inputs, run has %d / %d",
@@ -72,12 +74,12 @@ func loadGenCheckpoint(ctl *runctl.Control, opts Options, nFaults, nInputs int) 
 
 // saveGenCheckpoint persists the loop state; final (stop or completion)
 // saves bypass the periodic throttle.
-func saveGenCheckpoint(ctl *runctl.Control, opts Options, nFaults, nInputs, pass, fi int, seq logic.Sequence, funct []bool, rng *logic.RandFiller, done, final bool) error {
+func saveGenCheckpoint(ctl *runctl.Control, params string, nFaults, nInputs, pass, fi int, seq logic.Sequence, funct []bool, rng *logic.RandFiller, done, final bool) error {
 	if ctl == nil || ctl.Store == nil {
 		return nil
 	}
 	st := genCheckpoint{
-		Params:   genParams(opts),
+		Params:   params,
 		Faults:   nFaults,
 		Inputs:   nInputs,
 		Pass:     pass,

@@ -44,7 +44,7 @@ func runToCompletion(t *testing.T, run func(ctl *runctl.Control) Result, store r
 func TestGenerateResumeIdentity(t *testing.T) {
 	sc := loadScan(t, "s298")
 	faults := fault.Universe(sc.Scan, true)
-	opts := Options{Seed: 11, Passes: 1, RandomPhase: 4}
+	opts := Options{Seed: 11, Passes: 1}
 	ref := Generate(sc, faults, opts)
 	if ref.Status != runctl.Complete {
 		t.Fatalf("reference status %v", ref.Status)
@@ -148,6 +148,28 @@ func TestGenerateResumeAfterCompletion(t *testing.T) {
 	for fi := range faults {
 		if again.DetectedAt[fi] != ref.DetectedAt[fi] {
 			t.Fatalf("fault %d: %d vs %d", fi, again.DetectedAt[fi], ref.DetectedAt[fi])
+		}
+	}
+}
+
+// TestGenParamsFingerprint pins the fingerprint a generate checkpoint
+// carries, byte for byte, so that checkpoints written by earlier builds
+// keep resuming.
+func TestGenParamsFingerprint(t *testing.T) {
+	sc := loadScan(t, "s298")
+	cases := []struct {
+		opts   Options
+		frames int
+		want   string
+	}{
+		{Options{Seed: 11, Passes: 1}, maxFrames(sc.NumStateVars()),
+			"seed=11 passes=1 frames=38 cands=16 podem=30 noscan=false rand=0"},
+		{Options{Seed: 1, DisableScanKnowledge: true}, maxFrames(100),
+			"seed=1 passes=2 frames=80 cands=16 podem=30 noscan=true rand=0"},
+	}
+	for _, tc := range cases {
+		if got := genParams(tc.opts.withDefaults(), tc.frames); got != tc.want {
+			t.Errorf("genParams = %q, want %q", got, tc.want)
 		}
 	}
 }

@@ -32,25 +32,12 @@ type Options struct {
 	// Seed drives every pseudo-random choice; runs are deterministic
 	// in (circuit, fault list, Options).
 	Seed uint64
-	// MaxFrames bounds the length of one subsequence attempt
-	// (default 2*NSV+10, capped at 80).
-	MaxFrames int
-	// Candidates is the number of vectors evaluated per frame,
-	// including the PODEM suggestion (default 16, max 64).
-	Candidates int
-	// PodemBacktracks bounds the per-frame PODEM search (default 30).
-	PodemBacktracks int
 	// DisableScanKnowledge turns off the paper's functional-level
 	// enhancement (flushing effects to scan_out); used for ablation.
 	DisableScanKnowledge bool
 	// Passes is how many times the undetected faults are retried with
 	// fresh random choices (default 2).
 	Passes int
-	// RandomPhase prepends this many pseudo-random vectors before
-	// targeted generation starts, detecting easy faults cheaply. The
-	// paper's procedure does not use one (its sequences are compacted
-	// afterwards anyway), so the default is 0.
-	RandomPhase int
 	// Workers is the fault-simulation worker count for stepping the
 	// incremental fault batches (0 = GOMAXPROCS). The generated
 	// sequence is identical for every value.
@@ -71,22 +58,21 @@ type Options struct {
 	Obs obs.Observer
 }
 
-func (o Options) withDefaults(nsv int) Options {
-	if o.MaxFrames <= 0 {
-		o.MaxFrames = 2*nsv + 10
-		if o.MaxFrames > 80 {
-			o.MaxFrames = 80
-		}
-	}
-	if o.Candidates <= 0 {
-		o.Candidates = 16
-	}
-	if o.Candidates > sim.Slots {
-		o.Candidates = sim.Slots
-	}
-	if o.PodemBacktracks <= 0 {
-		o.PodemBacktracks = 30
-	}
+const (
+	// candidates is the number of vectors evaluated per frame, the
+	// PODEM suggestion included; one StepMulti runs them all, so it is
+	// at most sim.Slots.
+	candidates = 16
+	// podemBacktracks bounds the per-frame PODEM search; the search
+	// that may also assign the present state gets 10 times as many.
+	podemBacktracks = 30
+)
+
+// maxFrames bounds the length of one subsequence attempt on a circuit
+// with nsv state variables.
+func maxFrames(nsv int) int { return min(2*nsv+10, 80) }
+
+func (o Options) withDefaults() Options {
 	if o.Passes <= 0 {
 		o.Passes = 2
 	}
@@ -139,7 +125,7 @@ func (r Result) NumFunct() int {
 // (normally fault.Universe of sc.Scan, which includes the scan logic's
 // own faults).
 func Generate(sc *scan.Circuit, faults []fault.Fault, opts Options) Result {
-	opts = opts.withDefaults(sc.NumStateVars())
+	opts = opts.withDefaults()
 	o := opts.Obs
 	defer obs.T(o, "generate.time").Start()()
 	cAttempts := obs.C(o, "generate.attempts")
@@ -153,7 +139,7 @@ func Generate(sc *scan.Circuit, faults []fault.Fault, opts Options) Result {
 	defer mgr.Close()
 	pod := combatpg.NewGenerator(c, combatpg.Options{
 		ObservePPO:    true,
-		MaxBacktracks: opts.PodemBacktracks,
+		MaxBacktracks: podemBacktracks,
 	})
 	// podFull may also assign the present state; its solutions are
 	// justified through the scan chain (the paper's second use of
@@ -161,19 +147,20 @@ func Generate(sc *scan.Circuit, faults []fault.Fault, opts Options) Result {
 	podFull := combatpg.NewGenerator(c, combatpg.Options{
 		AssignState:   true,
 		ObservePPO:    true,
-		MaxBacktracks: 10 * opts.PodemBacktracks,
+		MaxBacktracks: 10 * podemBacktracks,
 	})
 	rng := logic.NewRandFiller(opts.Seed ^ 0xA5A5A5A5)
 	a := newAttempter(sc, opts, s)
 	defer a.close()
 
 	ctl := opts.Control
+	params := genParams(opts, a.maxFrames)
 	var seq logic.Sequence
 	funct := make([]bool, len(faults))
 	startPass, startFault := 0, 0
 	resumed := false
 	if ctl.Resuming() {
-		st, ckseq, ok, err := loadGenCheckpoint(ctl, opts, len(faults), c.NumInputs())
+		st, ckseq, ok, err := loadGenCheckpoint(ctl, params, len(faults), c.NumInputs())
 		if err != nil {
 			ctl.Fail()
 			return Result{DetectedAt: mgr.DetectedAt, Funct: funct, Status: runctl.Failed, Err: err}
@@ -198,23 +185,7 @@ func Generate(sc *scan.Circuit, faults []fault.Fault, opts Options) Result {
 	}
 	obs.Emit(o, "generate", "start",
 		obs.F("faults", len(faults)), obs.F("passes", opts.Passes),
-		obs.F("max_frames", opts.MaxFrames), obs.F("candidates", opts.Candidates))
-
-	// The random phase (when enabled) is part of the checkpointed
-	// sequence, so a resumed run must not replay it.
-	if !resumed && opts.RandomPhase > 0 {
-		phase := logic.NewRandFiller(opts.Seed ^ 0x52414E44)
-		for i := 0; i < opts.RandomPhase; i++ {
-			v := make(logic.Vector, c.NumInputs())
-			for j := range v {
-				v[j] = phase.Next()
-			}
-			seq = append(seq, v)
-			mgr.Append(v)
-		}
-		obs.Emit(o, "generate", "random_phase",
-			obs.F("vectors", opts.RandomPhase), obs.F("detected", mgr.NumDetected()))
-	}
+		obs.F("max_frames", a.maxFrames), obs.F("candidates", candidates))
 
 	status := runctl.Final(resumed)
 	var ckErr error
@@ -232,7 +203,7 @@ loop:
 				// The checkpoint names (pass, fi) as the next attempt, so
 				// it must be written before the attempt runs.
 				status = st
-				ckErr = saveGenCheckpoint(ctl, opts, len(faults), c.NumInputs(), pass, fi, seq, funct, rng, false, true)
+				ckErr = saveGenCheckpoint(ctl, params, len(faults), c.NumInputs(), pass, fi, seq, funct, rng, false, true)
 				break loop
 			}
 			cAttempts.Inc()
@@ -254,11 +225,11 @@ loop:
 					obs.F("frames", a.frames), obs.F("flush", flushStart >= 0),
 					obs.F("sub_len", len(sub)), obs.F("seq_len", len(seq)))
 			}
-			ckErr = saveGenCheckpoint(ctl, opts, len(faults), c.NumInputs(), pass, fi+1, seq, funct, rng, false, false)
+			ckErr = saveGenCheckpoint(ctl, params, len(faults), c.NumInputs(), pass, fi+1, seq, funct, rng, false, false)
 		}
 	}
 	if status.Done() {
-		ckErr = saveGenCheckpoint(ctl, opts, len(faults), c.NumInputs(), opts.Passes, 0, seq, funct, rng, true, true)
+		ckErr = saveGenCheckpoint(ctl, params, len(faults), c.NumInputs(), opts.Passes, 0, seq, funct, rng, true, true)
 	}
 	if ckErr != nil && status != runctl.Failed {
 		ctl.Fail()
@@ -274,11 +245,12 @@ loop:
 // attempter holds the per-attempt machinery (two simulation machines,
 // drawn from the simulator's pool) reused across faults.
 type attempter struct {
-	sc   *scan.Circuit
-	opts Options
-	sim  *sim.Simulator
-	mg   *sim.Machine // fault-free
-	mf   *sim.Machine // with the target fault in every slot
+	sc        *scan.Circuit
+	opts      Options
+	maxFrames int
+	sim       *sim.Simulator
+	mg        *sim.Machine // fault-free
+	mf        *sim.Machine // with the target fault in every slot
 	// flushLen[f] caches sc.FlushLength(f); depthBonus[f] rewards
 	// latched effects that are cheap to flush out.
 	flushLen   []int
@@ -296,11 +268,12 @@ type attempter struct {
 
 func newAttempter(sc *scan.Circuit, opts Options, s *sim.Simulator) *attempter {
 	a := &attempter{
-		sc:   sc,
-		opts: opts,
-		sim:  s,
-		mg:   s.Acquire(),
-		mf:   s.Acquire(),
+		sc:        sc,
+		opts:      opts,
+		maxFrames: maxFrames(sc.NumStateVars()),
+		sim:       s,
+		mg:        s.Acquire(),
+		mf:        s.Acquire(),
 
 		cFrames:         obs.C(opts.Obs, "generate.frames"),
 		cPodemCalls:     obs.C(opts.Obs, "generate.podem_calls"),
@@ -350,7 +323,7 @@ func (a *attempter) attemptWith(f fault.Fault, inject func(*sim.Machine) error, 
 	bestFFPos, bestPrefix := -1, -1
 
 	a.frames = 0
-	for frame := 0; frame < a.opts.MaxFrames; frame++ {
+	for frame := 0; frame < a.maxFrames; frame++ {
 		a.frames++
 		a.cFrames.Inc()
 		cands := a.candidates(f, pod, rng)
@@ -503,7 +476,7 @@ func (a *attempter) candidates(f fault.Fault, pod *combatpg.Generator, rng *logi
 			cands = append(cands, v)
 		}
 	}
-	for len(cands) < a.opts.Candidates {
+	for len(cands) < candidates {
 		v := make(logic.Vector, c.NumInputs())
 		for i := range v {
 			v[i] = rng.Next()

@@ -208,16 +208,16 @@ func TestManagerFaultyStateDiverges(t *testing.T) {
 }
 
 func TestOptionsDefaults(t *testing.T) {
-	o := Options{}.withDefaults(10)
-	if o.MaxFrames != 30 || o.Candidates != 16 || o.Passes != 2 || o.PodemBacktracks != 30 {
-		t.Errorf("defaults = %+v", o)
+	if o := (Options{}).withDefaults(); o.Passes != 2 {
+		t.Errorf("Passes default = %d, want 2", o.Passes)
 	}
-	big := Options{}.withDefaults(100)
-	if big.MaxFrames != 80 {
-		t.Errorf("MaxFrames cap = %d", big.MaxFrames)
+	if got := maxFrames(10); got != 30 {
+		t.Errorf("maxFrames(10) = %d, want 2*10+10", got)
 	}
-	wide := Options{Candidates: 999}.withDefaults(10)
-	if wide.Candidates != sim.Slots {
-		t.Errorf("Candidates cap = %d", wide.Candidates)
+	if got := maxFrames(100); got != 80 {
+		t.Errorf("maxFrames(100) = %d, want the cap 80", got)
+	}
+	if candidates > sim.Slots {
+		t.Errorf("candidates = %d, more than one StepMulti holds", candidates)
 	}
 }

@@ -37,7 +37,7 @@ func (r TransitionResult) NumDetected() int {
 // site, which the search discovers through the same effect-latching
 // reward.
 func GenerateTransition(sc *scan.Circuit, faults []transition.Fault, opts Options) TransitionResult {
-	opts = opts.withDefaults(sc.NumStateVars())
+	opts = opts.withDefaults()
 	c := sc.ScanCircuit()
 	s := sim.NewSimulator(c, opts.Workers)
 	mgr := newManager(s, len(faults), func(m *sim.Machine, lo, hi int) { transition.InjectBatch(m, faults[lo:hi]) })

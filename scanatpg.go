@@ -271,7 +271,8 @@ func NewSimulator(c *Circuit, workers int) *Simulator { return sim.NewSimulator(
 // re-exported from the internal runctl package so library users get the
 // same machinery the commands expose as -timeout/-checkpoint/-resume.
 type (
-	// Budget caps a run by wall clock, context cancellation, or
+	// Budget caps a run by context cancellation or deadline (a wall
+	// clock budget is a context.WithTimeout context), or by
 	// attempt/trial counts; the zero value imposes no limits.
 	Budget = runctl.Budget
 	// Control threads one run's budget, cancellation and optional
