@@ -130,10 +130,11 @@ func FinalState(c *netlist.Circuit, seq logic.Sequence, initial []logic.Value) [
 // indices out in increasing order from one counter to up to workers
 // goroutines; w (0 <= w < min(workers, n)) names the goroutine, so fn
 // can keep per-worker state in a slice. With one worker (or fewer) it
-// runs inline on the caller's goroutine. Once a call returns false no
-// further index is handed out; calls already running finish. Parallel
-// returns when every call has. Calls on different goroutines run
-// concurrently, so fn must synchronize whatever its calls share.
+// runs inline on the caller's goroutine. Once a call returns false,
+// Parallel stops handing out indices; calls that already hold one
+// finish. Parallel returns when every call has. Calls on different
+// goroutines run concurrently, so fn must synchronize whatever its
+// calls share.
 func Parallel(workers, n int, fn func(w, i int) bool) {
 	workers = min(workers, n)
 	if workers <= 1 {
