@@ -26,10 +26,10 @@ bench:
 	  $(GO) test -run '^$$' -bench 'Compaction' -benchmem -benchtime 1x ./internal/compact/ ; } | \
 		tee /dev/stderr | $(GO) run ./cmd/benchjson > BENCH_sim.json
 
-# bench-compact runs the compaction trial-engine benchmarks — the
-# incremental engine against the serial scratch reference across worker
-# counts (trial throughput, fault-free trace splices, reconvergence cutoffs)
-# plus the ADI scoring pass — and writes BENCH_compact.json:
+# bench-compact runs the compaction benchmarks — the restore→omit
+# pipeline across worker counts (trial throughput, fault-free trace
+# splices, reconvergence cutoffs) plus the ADI scoring pass — and writes
+# BENCH_compact.json:
 #   make bench-compact BENCHTIME=1x     # CI smoke
 bench-compact:
 	$(GO) test -run '^$$' -bench 'CompactionEngines|ADIScores' \

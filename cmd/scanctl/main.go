@@ -127,7 +127,6 @@ func submit(ctx context.Context, c *jobs.Client, args []string) error {
 	fs.BoolVar(&sp.NoCollapse, "no-collapse", false, "disable fault collapsing")
 	fs.IntVar(&sp.Chains, "chains", 0, "scan chains (generate flow)")
 	fs.IntVar(&sp.Workers, "workers", 0, "per-task fault-simulation workers (0 = GOMAXPROCS)")
-	fs.StringVar(&sp.Engine, "engine", "", "compaction engine: auto, incremental or scratch")
 	fs.BoolVar(&sp.AdiOrder, "adi-order", false, "ADI restoration order")
 	fs.BoolVar(&sp.SkipBaseline, "skip-baseline", false, "skip the conventional-scan baseline")
 	fs.BoolVar(&sp.SkipCompaction, "skip-compaction", false, "skip compaction")

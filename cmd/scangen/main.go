@@ -42,7 +42,6 @@ func main() {
 		printSeq   = flag.Bool("print-seq", false, "with -circuit: print the sequence as a paper-style table")
 		noBaseline = flag.Bool("no-baseline", false, "skip the conventional-scan baseline")
 		noCollapse = flag.Bool("no-collapse", false, "disable fault equivalence collapsing")
-		engine     = flag.String("compact-engine", "auto", "restoration trial engine: auto, incremental or scratch (output identical)")
 		adiOrder   = flag.Bool("adi-order", false, "restore faults in increasing accidental-detection-index order (changes the output)")
 		chains     = flag.Int("chains", 1, "number of scan chains (generation flow)")
 		workers    = flag.Int("workers", 0, "fault-simulation worker count (0 = all cores; results are identical for every value)")
@@ -77,16 +76,10 @@ func main() {
 		os.Exit(2)
 	}
 
-	eng, err := compact.ParseEngine(*engine)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "scangen:", err)
-		os.Exit(2)
-	}
 	cfg := core.DefaultConfig()
 	cfg.Seed = *seed
 	cfg.Collapse = !*noCollapse
 	cfg.SkipBaseline = *noBaseline
-	cfg.Engine = eng
 	if *adiOrder {
 		cfg.Order = compact.OrderADI
 	}

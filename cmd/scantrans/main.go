@@ -30,7 +30,6 @@ func main() {
 		printTrans = flag.Bool("print-translated", false, "with -circuit: print the translated sequence")
 		printFinal = flag.Bool("print-compacted", false, "with -circuit: print the compacted sequence")
 		noCollapse = flag.Bool("no-collapse", false, "disable fault equivalence collapsing")
-		engine     = flag.String("compact-engine", "auto", "restoration trial engine: auto, incremental or scratch (output identical)")
 		adiOrder   = flag.Bool("adi-order", false, "restore faults in increasing accidental-detection-index order (changes the output)")
 		verbose    = flag.Bool("v", false, "progress to stderr")
 	)
@@ -52,15 +51,9 @@ func main() {
 		os.Exit(2)
 	}
 
-	eng, err := compact.ParseEngine(*engine)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "scantrans:", err)
-		os.Exit(2)
-	}
 	cfg := core.DefaultConfig()
 	cfg.Seed = *seed
 	cfg.Collapse = !*noCollapse
-	cfg.Engine = eng
 	if *adiOrder {
 		cfg.Order = compact.OrderADI
 	}

@@ -54,22 +54,13 @@ func TestFacadeCompactUnified(t *testing.T) {
 	}
 }
 
-// Engine and order selection through CompactOptions must match the
-// internal package's behavior: engines are output-identical, OrderADI
-// changes output the same way on both paths.
-func TestFacadeCompactOptionsEngineOrder(t *testing.T) {
+// Order selection through CompactOptions must match the internal
+// package's behavior: OrderADI changes output the same way on both
+// paths.
+func TestFacadeCompactOptionsOrder(t *testing.T) {
 	sc, faults, gen := s27Design(t)
-
-	inc, _ := Compact(sc, gen.Sequence, faults, CompactOptions{Engine: EngineIncremental})
-	scr, _ := Compact(sc, gen.Sequence, faults, CompactOptions{Engine: EngineScratch})
-	if inc.String() != scr.String() {
-		t.Error("incremental and scratch engines disagree through the facade")
-	}
-
 	adi, _ := Restore(sc, gen.Sequence, faults, CompactOptions{Order: OrderADI})
-	_, iadist := compact.RestoreOpts(sc.Scan, gen.Sequence, faults, compact.Options{Order: compact.OrderADI})
 	iadi, _ := compact.RestoreOpts(sc.Scan, gen.Sequence, faults, compact.Options{Order: compact.OrderADI})
-	_ = iadist
 	if adi.String() != iadi.String() {
 		t.Error("facade OrderADI differs from internal OrderADI")
 	}

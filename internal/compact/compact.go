@@ -33,60 +33,16 @@ import (
 	"repro/internal/sim"
 )
 
-// Engine selects the restoration trial engine. Omission has a single
-// trial engine and ignores it. Every engine produces bit-identical
-// compacted sequences (and the semantic Stats fields
-// BeforeLen/AfterLen/TargetFaults/ExtraDetected); only the work
-// performed differs, so restoration's Simulations and BatchSteps are
-// engine-specific accounting. The xcheck invariant "compact/engines"
-// pins the equivalence across the seeded catalog.
-type Engine uint8
-
-const (
-	// EngineAuto selects EngineIncremental.
-	EngineAuto Engine = iota
-	// EngineIncremental is the incremental restoration engine:
-	// verdicts are cached per trial version and coverage is refreshed
-	// by wide multi-batch lookahead runs that fan out across the
-	// simulator's workers. Deterministic merges keep the output — and
-	// the Stats — identical at every worker count.
-	EngineIncremental
-	// EngineScratch is the serial reference restoration engine: one
-	// coverage check per uncovered restoration target.
-	EngineScratch
-)
-
-// incremental reports whether the engine runs the incremental paths.
-func (e Engine) incremental() bool { return e != EngineScratch }
-
-// String names the engine the way ParseEngine spells it.
-func (e Engine) String() string {
-	switch e {
-	case EngineIncremental:
-		return "incremental"
-	case EngineScratch:
-		return "scratch"
-	default:
-		return "auto"
-	}
-}
-
-// ParseEngine parses a -compact-engine flag value.
-func ParseEngine(s string) (Engine, error) {
-	switch s {
-	case "", "auto":
-		return EngineAuto, nil
-	case "incremental":
-		return EngineIncremental, nil
-	case "scratch":
-		return EngineScratch, nil
-	}
-	return EngineAuto, fmt.Errorf("compact: unknown engine %q (want auto, incremental or scratch)", s)
-}
+// Engine selects nothing: restoration has one engine. It remains only
+// because perfbench/flows.go sets Options.Engine from
+// core.Config.Engine, and perfbench changes only with the benchmark;
+// the next benchmark change deletes Engine, Options.Engine and
+// core.Config.Engine together.
+type Engine struct{}
 
 // Order selects the restoration target order. The order changes which
-// vectors restoration keeps, so unlike Engine it legitimately changes
-// the compacted output; a golden test pins each order's result.
+// vectors restoration keeps, so it legitimately changes the compacted
+// output; a golden test pins each order's result.
 type Order uint8
 
 const (
@@ -139,9 +95,9 @@ type Options struct {
 	// without it. A private simulator built by the pass is observed
 	// too; a caller-supplied Sim keeps whatever observer it already has.
 	Obs obs.Observer
-	// Engine selects the restoration trial engine (see Engine); the
-	// zero value is EngineAuto, i.e. the incremental engine. Omission
-	// ignores it. The compacted output is identical for every engine.
+	// Engine selects nothing (see Engine); it remains only because
+	// perfbench/flows.go sets it, and the next benchmark change
+	// deletes it.
 	Engine Engine
 	// Order selects the restoration target order (see Order). Unlike
 	// every other option, a non-default order changes the output.
@@ -190,7 +146,7 @@ func Restore(c *netlist.Circuit, seq logic.Sequence, faults []fault.Fault) (logi
 }
 
 // RestoreOpts is Restore with explicit Options. The compacted output is
-// identical for every Options value.
+// identical for every Options value except Order.
 func RestoreOpts(c *netlist.Circuit, seq logic.Sequence, faults []fault.Fault, opts Options) (logic.Sequence, Stats) {
 	s := opts.simulator(c)
 	ob := opts.Obs
@@ -238,10 +194,10 @@ func RestoreOpts(c *netlist.Circuit, seq logic.Sequence, faults []fault.Fault, o
 		return r.Detected(0)
 	}
 	// covered[fi] means the currently restored subsequence already
-	// detects fault fi; refreshed in batches of 64 so the common "this
-	// fault needs no work" case costs 1/64th of a simulation. Faults
-	// already covered are dropped from later batch checks — they could
-	// only re-confirm a flag that never goes back to false.
+	// detects fault fi; refreshed restoreLookahead targets at a time so
+	// the common "this fault needs no work" case costs a fraction of a
+	// simulation. Faults already covered are dropped from later checks
+	// — they could only re-confirm a flag that never goes back to false.
 	covered := make([]bool, len(faults))
 	ctl := opts.Control
 	startPos := 0
@@ -267,8 +223,8 @@ func RestoreOpts(c *netlist.Circuit, seq logic.Sequence, faults []fault.Fault, o
 			}
 		case corruptCheckpointError(err):
 			// The stored state is damaged, not from a different run:
-			// redo the pass from the start on the same engine, which
-			// produces the output the undamaged run would have.
+			// redo the pass from the start, which produces the output
+			// the undamaged run would have.
 			obs.C(ob, "restore.ckpt_degraded").Inc()
 			obs.Emit(ob, "restore", "checkpoint_degraded", obs.F("error", err.Error()))
 			for i := range kept {
@@ -290,21 +246,16 @@ func RestoreOpts(c *netlist.Circuit, seq logic.Sequence, faults []fault.Fault, o
 	if resumed {
 		obs.Emit(ob, "restore", "resume", obs.F("pos", startPos))
 	}
-	// The incremental engine tracks, per fault, the trial version (the
-	// number of restoration commits so far) at which the fault was last
-	// verified undetected. A fault whose verification is still current
-	// needs no new simulation at processing time: the restored
-	// subsequence has not changed since a lookahead refresh checked it,
-	// so the verdict "uncovered — restore vectors" is already known.
-	// Because covered flags are monotone (restoration only adds
-	// vectors), skipping the re-check cannot change any decision the
-	// scratch engine would make.
-	incremental := opts.Engine.incremental()
-	var checkedAt []int
+	// checkedAt tracks, per fault, the trial version (the number of
+	// restoration commits so far) at which the fault was last verified
+	// undetected. A fault whose verification is still current needs no
+	// new simulation at processing time: the restored subsequence has
+	// not changed since a lookahead refresh checked it, so the verdict
+	// "uncovered — restore vectors" is already known. Because covered
+	// flags are monotone (restoration only adds vectors), skipping the
+	// re-check cannot change any decision a fresh check would make.
+	checkedAt := make([]int, len(faults))
 	ver := 1
-	if incremental {
-		checkedAt = make([]int, len(faults))
-	}
 	group := make([]int, 0, restoreLookahead)
 	fbuf := make([]fault.Fault, 0, restoreLookahead)
 	detBuf := make([]int, 0, restoreLookahead)
@@ -316,33 +267,18 @@ func RestoreOpts(c *netlist.Circuit, seq logic.Sequence, faults []fault.Fault, o
 		}
 		fi := order[pos]
 		cTrials.Inc()
-		if !covered[fi] && !(incremental && checkedAt[fi] == ver) {
+		if !covered[fi] && checkedAt[fi] != ver {
+			// Refresh coverage for the next restoreLookahead
+			// still-uncovered targets in one multi-batch run; the
+			// batches fan out across the simulator's workers.
 			group = group[:0]
-			if incremental {
-				// Refresh coverage for the next restoreLookahead
-				// still-uncovered targets in one multi-batch run; the
-				// batches fan out across the simulator's workers.
-				for _, gi := range order[pos:] {
-					if covered[gi] {
-						continue
-					}
-					group = append(group, gi)
-					if len(group) == restoreLookahead {
-						break
-					}
+			for _, gi := range order[pos:] {
+				if covered[gi] {
+					continue
 				}
-			} else {
-				// Batch-check this fault together with the next
-				// still-uncovered ones in its 64-wide window.
-				end := pos + sim.Slots
-				if end > len(order) {
-					end = len(order)
-				}
-				for _, gi := range order[pos:end] {
-					if covered[gi] {
-						continue
-					}
-					group = append(group, gi)
+				group = append(group, gi)
+				if len(group) == restoreLookahead {
+					break
 				}
 			}
 			st.Simulations++
@@ -352,7 +288,7 @@ func RestoreOpts(c *netlist.Circuit, seq logic.Sequence, faults []fault.Fault, o
 				if r.Detected(i) {
 					covered[gi] = true
 					cCovered.Inc()
-				} else if incremental {
+				} else {
 					checkedAt[gi] = ver
 				}
 			}
@@ -443,8 +379,8 @@ func restorationOrder(detAt []int, policy Order, scores []int) []int {
 }
 
 // restoreLookahead is how many still-uncovered targets ahead of the
-// current position the incremental engine's coverage refresh checks in
-// one multi-batch run. The constant is deliberately independent of the
+// current position restoration's coverage refresh checks in one
+// multi-batch run. The constant is deliberately independent of the
 // worker count — a worker-sized lookahead would make Simulations
 // depend on GOMAXPROCS — and four batches are enough to keep small
 // worker pools busy without wasting checks that a later insertion

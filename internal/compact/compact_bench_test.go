@@ -66,14 +66,13 @@ func BenchmarkCompaction(b *testing.B) {
 	})
 }
 
-// BenchmarkCompactionEngines compares the incremental restoration
-// engine against the serial scratch reference on the full pipeline,
-// across worker counts; omission runs its one engine in both. Both
-// produce bit-identical output; the metrics expose where the time goes:
-// trial throughput, the simulator's fault-free trace splices (each
-// restoration or omission trial shares a tail with the trace before it,
-// and adopts that trace's rows where the two reconverge), the omission
-// trials among them (reconvergence cutoffs) and window-memo hits.
+// BenchmarkCompactionEngines times the full restore→omit pipeline
+// across worker counts. Every worker count produces bit-identical
+// output; the metrics expose where the time goes: trial throughput, the
+// simulator's fault-free trace splices (each restoration or omission
+// trial shares a tail with the trace before it, and adopts that trace's
+// rows where the two reconverge), the omission trials among them
+// (reconvergence cutoffs) and window-memo hits.
 func BenchmarkCompactionEngines(b *testing.B) {
 	c, err := circuits.Load("s298")
 	if err != nil {
@@ -86,38 +85,28 @@ func BenchmarkCompactionEngines(b *testing.B) {
 	faults := fault.Universe(sc.Scan, true)
 	gen := seqatpg.Generate(sc, faults, seqatpg.Options{Seed: 1})
 
-	workerCounts := []int{1, 4, runtime.GOMAXPROCS(0)}
 	seen := map[int]bool{}
-	for _, engine := range []Engine{EngineIncremental, EngineScratch} {
-		for k := range seen {
-			delete(seen, k)
+	for _, workers := range []int{1, 4, runtime.GOMAXPROCS(0)} {
+		if seen[workers] {
+			continue
 		}
-		for _, workers := range workerCounts {
-			if seen[workers] {
-				continue
+		seen[workers] = true
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			reg := obs.NewRegistry()
+			var st Stats
+			for i := 0; i < b.N; i++ {
+				_, _, _, st = RestoreThenOmitOpts(sc.Scan, gen.Sequence, faults,
+					Options{Workers: workers, Obs: reg})
 			}
-			seen[workers] = true
-			if engine == EngineScratch && workers != 1 {
-				continue // the scratch trial loop is serial by definition
-			}
-			name := fmt.Sprintf("%s/workers=%d", engine, workers)
-			b.Run(name, func(b *testing.B) {
-				reg := obs.NewRegistry()
-				var st Stats
-				for i := 0; i < b.N; i++ {
-					_, _, _, st = RestoreThenOmitOpts(sc.Scan, gen.Sequence, faults,
-						Options{Engine: engine, Workers: workers, Obs: reg})
-				}
-				snap := reg.Snapshot().Counters
-				trials := snap["restore.trials"] + snap["omit.trials"]
-				b.ReportMetric(float64(trials)/b.Elapsed().Seconds(), "trials/s")
-				b.ReportMetric(float64(snap["sim.trace_splice_hits"])/float64(b.N), "splice_hits/op")
-				b.ReportMetric(float64(snap["sim.trace_splice_steps"])/float64(b.N), "splice_steps/op")
-				b.ReportMetric(float64(snap["omit.reconv_cutoffs"])/float64(b.N), "reconv/op")
-				b.ReportMetric(float64(snap["omit.window_memo_hits"])/float64(b.N), "win_hits/op")
-				b.ReportMetric(float64(st.BatchSteps), "batchsteps")
-			})
-		}
+			snap := reg.Snapshot().Counters
+			trials := snap["restore.trials"] + snap["omit.trials"]
+			b.ReportMetric(float64(trials)/b.Elapsed().Seconds(), "trials/s")
+			b.ReportMetric(float64(snap["sim.trace_splice_hits"])/float64(b.N), "splice_hits/op")
+			b.ReportMetric(float64(snap["sim.trace_splice_steps"])/float64(b.N), "splice_steps/op")
+			b.ReportMetric(float64(snap["omit.reconv_cutoffs"])/float64(b.N), "reconv/op")
+			b.ReportMetric(float64(snap["omit.window_memo_hits"])/float64(b.N), "win_hits/op")
+			b.ReportMetric(float64(st.BatchSteps), "batchsteps")
+		})
 	}
 }
 

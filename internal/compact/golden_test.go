@@ -159,44 +159,6 @@ func TestADIOrderGolden(t *testing.T) {
 	}
 }
 
-// TestEngineOutputsIdentical: the scratch engine reproduces the
-// incremental engine's sequences and semantic stats exactly, in both
-// restoration orders (the xcheck invariant "compact/engines" covers the
-// whole seeded catalog; this is the fast in-package version).
-func TestEngineOutputsIdentical(t *testing.T) {
-	c, err := circuits.Load("s298")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc, err := scan.Insert(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	faults := fault.Universe(sc.Scan, true)
-	gen := seqatpg.Generate(sc, faults, seqatpg.Options{Seed: 1})
-	semantic := func(st Stats) [4]int {
-		return [4]int{st.BeforeLen, st.AfterLen, st.TargetFaults, st.ExtraDetected}
-	}
-	for _, order := range []Order{OrderDetection, OrderADI} {
-		rInc, oInc, rstInc, ostInc := RestoreThenOmitOpts(sc.Scan, gen.Sequence, faults,
-			Options{Engine: EngineIncremental, Order: order})
-		rScr, oScr, rstScr, ostScr := RestoreThenOmitOpts(sc.Scan, gen.Sequence, faults,
-			Options{Engine: EngineScratch, Order: order})
-		if hashSeq(rInc) != hashSeq(rScr) || len(rInc) != len(rScr) {
-			t.Errorf("order=%s: restored sequences differ (incremental %d, scratch %d)", order, len(rInc), len(rScr))
-		}
-		if hashSeq(oInc) != hashSeq(oScr) || len(oInc) != len(oScr) {
-			t.Errorf("order=%s: omitted sequences differ (incremental %d, scratch %d)", order, len(oInc), len(oScr))
-		}
-		if semantic(rstInc) != semantic(rstScr) {
-			t.Errorf("order=%s: restore semantic stats differ: %v vs %v", order, semantic(rstInc), semantic(rstScr))
-		}
-		if semantic(ostInc) != semantic(ostScr) {
-			t.Errorf("order=%s: omit semantic stats differ: %v vs %v", order, semantic(ostInc), semantic(ostScr))
-		}
-	}
-}
-
 // TestCompactionWorkerDeterminism: the compacted sequence, the work
 // accounting and the omission engine's memo and reconvergence counters
 // must be identical for one worker and many — parallelism only changes

@@ -44,12 +44,12 @@ type Config struct {
 	SkipBaseline bool
 	// SkipCompaction stops after raw generation.
 	SkipCompaction bool
-	// Engine selects the restoration trial engine (see
-	// compact.Engine); the zero value is the incremental engine.
-	// Results are identical for every engine.
+	// Engine selects nothing (see compact.Engine); it remains only
+	// because perfbench/flows.go sets compact.Options.Engine from it,
+	// and the next benchmark change deletes it.
 	Engine compact.Engine
-	// Order selects the restoration target order (see compact.Order).
-	// Unlike Engine, a non-default order changes the compacted output.
+	// Order selects the restoration target order (see compact.Order);
+	// a non-default order changes the compacted output.
 	Order compact.Order
 	// Chains selects the number of scan chains for the generation
 	// flow (0 or 1 = the paper's single chain).
@@ -180,7 +180,7 @@ func RunGenerate(name string, cfg Config) (GenerateRow, *GenerateArtifacts, erro
 		// passes and the final extra-detection check.
 		s := sim.NewSimulator(cs, cfg.Workers)
 		s.Observe(cfg.Obs)
-		copts := compact.Options{Sim: s, Control: ctl, Obs: cfg.Obs, Engine: cfg.Engine, Order: cfg.Order}
+		copts := compact.Options{Sim: s, Control: ctl, Obs: cfg.Obs, Order: cfg.Order}
 		restored, omitted, rst, ost := compact.RestoreThenOmitOpts(cs, gen.Sequence, faults, copts)
 		if row.Status, err = passStatus(row.Status, rst, ost); err != nil {
 			return row, art, err
@@ -361,7 +361,7 @@ func RunTranslate(name string, cfg Config) (TranslateRow, *TranslateArtifacts, e
 	if !cfg.SkipCompaction {
 		s := sim.NewSimulator(sc.Scan, cfg.Workers)
 		s.Observe(cfg.Obs)
-		copts := compact.Options{Sim: s, Control: ctl, Obs: cfg.Obs, Engine: cfg.Engine, Order: cfg.Order}
+		copts := compact.Options{Sim: s, Control: ctl, Obs: cfg.Obs, Order: cfg.Order}
 		restored, omitted, rst, ost := compact.RestoreThenOmitOpts(sc.Scan, seq, scanFaults, copts)
 		if row.Status, err = passStatus(row.Status, rst, ost); err != nil {
 			return row, art, err

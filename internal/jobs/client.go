@@ -49,32 +49,33 @@ func (c *Client) url(parts ...string) string {
 	return strings.TrimSuffix(c.Base, "/") + "/" + strings.Join(parts, "/")
 }
 
-// do issues one request and decodes a 2xx JSON body into out (skipped
-// when out is nil). Non-2xx bodies become *APIError.
-func (c *Client) do(ctx context.Context, method, url string, body io.Reader, out any) error {
+// do issues one request and returns the response's status code and
+// body, decoding a 2xx JSON body into out when out is non-nil. A non-2xx
+// response becomes *APIError with a nil body.
+func (c *Client) do(ctx context.Context, method, url string, body io.Reader, out any) (int, []byte, error) {
 	req, err := http.NewRequestWithContext(ctx, method, url, body)
 	if err != nil {
-		return err
+		return 0, nil, err
 	}
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
 	resp, err := c.httpClient().Do(req)
 	if err != nil {
-		return err
+		return 0, nil, err
 	}
 	defer resp.Body.Close()
 	data, err := io.ReadAll(resp.Body)
 	if err != nil {
-		return err
+		return resp.StatusCode, nil, err
 	}
 	if resp.StatusCode/100 != 2 {
-		return apiError(resp.StatusCode, data)
+		return resp.StatusCode, nil, apiError(resp.StatusCode, data)
 	}
-	if out == nil {
-		return nil
+	if out != nil {
+		err = json.Unmarshal(data, out)
 	}
-	return json.Unmarshal(data, out)
+	return resp.StatusCode, data, err
 }
 
 func apiError(code int, body []byte) *APIError {
@@ -94,7 +95,7 @@ func (c *Client) Submit(ctx context.Context, sp Spec) (*Status, error) {
 		return nil, err
 	}
 	var st Status
-	if err := c.do(ctx, http.MethodPost, c.url("v1", "jobs"), bytes.NewReader(payload), &st); err != nil {
+	if _, _, err := c.do(ctx, http.MethodPost, c.url("v1", "jobs"), bytes.NewReader(payload), &st); err != nil {
 		return nil, err
 	}
 	return &st, nil
@@ -103,7 +104,7 @@ func (c *Client) Submit(ctx context.Context, sp Spec) (*Status, error) {
 // List returns every job's status in submission order.
 func (c *Client) List(ctx context.Context) ([]*Status, error) {
 	var out []*Status
-	if err := c.do(ctx, http.MethodGet, c.url("v1", "jobs"), nil, &out); err != nil {
+	if _, _, err := c.do(ctx, http.MethodGet, c.url("v1", "jobs"), nil, &out); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -112,7 +113,7 @@ func (c *Client) List(ctx context.Context) ([]*Status, error) {
 // Get returns one job's status.
 func (c *Client) Get(ctx context.Context, id string) (*Status, error) {
 	var st Status
-	if err := c.do(ctx, http.MethodGet, c.url("v1", "jobs", id), nil, &st); err != nil {
+	if _, _, err := c.do(ctx, http.MethodGet, c.url("v1", "jobs", id), nil, &st); err != nil {
 		return nil, err
 	}
 	return &st, nil
@@ -121,7 +122,7 @@ func (c *Client) Get(ctx context.Context, id string) (*Status, error) {
 // Cancel cancels a job; in-flight tasks checkpoint and stop.
 func (c *Client) Cancel(ctx context.Context, id string) (*Status, error) {
 	var st Status
-	if err := c.do(ctx, http.MethodPost, c.url("v1", "jobs", id, "cancel"), nil, &st); err != nil {
+	if _, _, err := c.do(ctx, http.MethodPost, c.url("v1", "jobs", id, "cancel"), nil, &st); err != nil {
 		return nil, err
 	}
 	return &st, nil
@@ -130,7 +131,7 @@ func (c *Client) Cancel(ctx context.Context, id string) (*Status, error) {
 // Resume re-enqueues a suspended or canceled job from its checkpoints.
 func (c *Client) Resume(ctx context.Context, id string) (*Status, error) {
 	var st Status
-	if err := c.do(ctx, http.MethodPost, c.url("v1", "jobs", id, "resume"), nil, &st); err != nil {
+	if _, _, err := c.do(ctx, http.MethodPost, c.url("v1", "jobs", id, "resume"), nil, &st); err != nil {
 		return nil, err
 	}
 	return &st, nil
@@ -138,29 +139,14 @@ func (c *Client) Resume(ctx context.Context, id string) (*Status, error) {
 
 // Result fetches a completed job's result.json bytes verbatim.
 func (c *Client) Result(ctx context.Context, id string) ([]byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.url("v1", "jobs", id, "result"), nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode/100 != 2 {
-		return nil, apiError(resp.StatusCode, data)
-	}
-	return data, nil
+	_, data, err := c.do(ctx, http.MethodGet, c.url("v1", "jobs", id, "result"), nil, nil)
+	return data, err
 }
 
 // Checkpoints lists a job's checkpoint artifact names.
 func (c *Client) Checkpoints(ctx context.Context, id string) ([]string, error) {
 	var names []string
-	if err := c.do(ctx, http.MethodGet, c.url("v1", "jobs", id, "checkpoints"), nil, &names); err != nil {
+	if _, _, err := c.do(ctx, http.MethodGet, c.url("v1", "jobs", id, "checkpoints"), nil, &names); err != nil {
 		return nil, err
 	}
 	return names, nil
@@ -168,23 +154,8 @@ func (c *Client) Checkpoints(ctx context.Context, id string) ([]string, error) {
 
 // Checkpoint fetches one checkpoint artifact's bytes.
 func (c *Client) Checkpoint(ctx context.Context, id, name string) ([]byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.url("v1", "jobs", id, "checkpoints", name), nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode/100 != 2 {
-		return nil, apiError(resp.StatusCode, data)
-	}
-	return data, nil
+	_, data, err := c.do(ctx, http.MethodGet, c.url("v1", "jobs", id, "checkpoints", name), nil, nil)
+	return data, err
 }
 
 // Events opens the job's JSONL event stream: history replay, then live
@@ -213,25 +184,9 @@ func (c *Client) Claim(ctx context.Context, worker string) (*Assignment, error) 
 	if err != nil {
 		return nil, err
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.url("v1", "worker", "claim"), bytes.NewReader(payload))
-	if err != nil {
+	code, data, err := c.do(ctx, http.MethodPost, c.url("v1", "worker", "claim"), bytes.NewReader(payload), nil)
+	if err != nil || code == http.StatusNoContent {
 		return nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode == http.StatusNoContent {
-		return nil, nil
-	}
-	if resp.StatusCode/100 != 2 {
-		return nil, apiError(resp.StatusCode, data)
 	}
 	var a Assignment
 	if err := json.Unmarshal(data, &a); err != nil {
@@ -251,7 +206,7 @@ func (c *Client) Heartbeat(ctx context.Context, token string, ckpt []byte) (time
 	var out struct {
 		TTLMS int64 `json:"ttl_ms"`
 	}
-	if err := c.do(ctx, http.MethodPost, c.url("v1", "worker", "claims", token, "heartbeat"), bytes.NewReader(payload), &out); err != nil {
+	if _, _, err := c.do(ctx, http.MethodPost, c.url("v1", "worker", "claims", token, "heartbeat"), bytes.NewReader(payload), &out); err != nil {
 		return 0, err
 	}
 	return time.Duration(out.TTLMS) * time.Millisecond, nil
@@ -263,7 +218,8 @@ func (c *Client) CompleteClaim(ctx context.Context, token string, res *taskResul
 	if err != nil {
 		return err
 	}
-	return c.do(ctx, http.MethodPost, c.url("v1", "worker", "claims", token, "result"), bytes.NewReader(payload), nil)
+	_, _, err = c.do(ctx, http.MethodPost, c.url("v1", "worker", "claims", token, "result"), bytes.NewReader(payload), nil)
+	return err
 }
 
 // ReleaseClaim hands a leased task back (graceful shutdown), uploading
@@ -273,13 +229,14 @@ func (c *Client) ReleaseClaim(ctx context.Context, token string, ckpt []byte) er
 	if err != nil {
 		return err
 	}
-	return c.do(ctx, http.MethodPost, c.url("v1", "worker", "claims", token, "release"), bytes.NewReader(payload), nil)
+	_, _, err = c.do(ctx, http.MethodPost, c.url("v1", "worker", "claims", token, "release"), bytes.NewReader(payload), nil)
+	return err
 }
 
 // Workers lists the live leases — the fleet half of `scanctl top`.
 func (c *Client) Workers(ctx context.Context) ([]WorkerInfo, error) {
 	var out []WorkerInfo
-	if err := c.do(ctx, http.MethodGet, c.url("v1", "workers"), nil, &out); err != nil {
+	if _, _, err := c.do(ctx, http.MethodGet, c.url("v1", "workers"), nil, &out); err != nil {
 		return nil, err
 	}
 	return out, nil

@@ -25,7 +25,6 @@ func executeCompact(sp *Spec, circuit string, chunk int, restoredKept string, ct
 	s.Observe(rec)
 	opts := compact.Options{
 		Sim:     s,
-		Engine:  sp.engine(),
 		Order:   sp.order(),
 		Control: ctl,
 		Obs:     rec,

@@ -27,6 +27,8 @@ func FuzzDecodeSpec(f *testing.F) {
 		}
 		f.Add(string(b))
 	}
+	// A spec that still sends the retired "engine" field is rejected.
+	f.Add(`{"flow":"compact","circuits":["s27"],"engine":"scratch"}`)
 	f.Fuzz(func(t *testing.T, body string) {
 		sp, err := DecodeSpec(strings.NewReader(body))
 		if err != nil {

@@ -203,12 +203,19 @@ func (j *job) openLeg(resume bool) error {
 	j.canceled = false
 	j.legClosed = false
 
-	if j.hub == nil {
-		history, _ := os.ReadFile(j.eventsPath())
-		j.hub = newHub(history)
-	} else {
-		j.hub.reopen()
+	// A crash or power loss mid-append can leave a torn final line;
+	// drop it before this leg appends, and build the leg's hub from the
+	// repaired file, so neither the file nor a watcher sees torn bytes.
+	var repaired int64
+	var err error
+	if resume {
+		if repaired, err = obs.RepairTail(j.eventsPath()); err != nil {
+			cancel()
+			return err
+		}
 	}
+	history, _ := os.ReadFile(j.eventsPath())
+	j.hub = newHub(history)
 	f, err := os.OpenFile(j.eventsPath(), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		cancel()
@@ -218,6 +225,9 @@ func (j *job) openLeg(resume bool) error {
 	j.rec = obs.NewRecorder(io.MultiWriter(f, j.hub), obs.RecorderOptions{
 		Program: "scand", Resumed: resume, Sync: true,
 	})
+	if repaired > 0 {
+		j.rec.Event("obs", "tail_repaired", obs.F("bytes", repaired))
+	}
 
 	j.pending = 0
 	j.enq = make([]bool, len(j.tasks))
@@ -279,7 +289,6 @@ func executeFlow(sp *Spec, circuit string, shard sim.FaultRange, chunk int, rest
 			Collapse:       !sp.NoCollapse,
 			Chains:         sp.Chains,
 			Workers:        sp.Workers,
-			Engine:         sp.engine(),
 			Order:          sp.order(),
 			SkipBaseline:   sp.SkipBaseline,
 			SkipCompaction: sp.SkipCompaction,
@@ -512,13 +521,6 @@ func (j *job) assembleResultLocked() error {
 // on.
 func (j *job) persistStatusLocked() {
 	writeJSONFile(j.statusPath(), &j.status)
-}
-
-// reopen clears a hub's closed mark for a resume leg.
-func (h *hub) reopen() {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.closed = false
 }
 
 // writeJSONFile writes v as indented JSON through writeFileAtomic. The

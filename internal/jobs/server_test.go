@@ -7,6 +7,8 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -516,5 +518,113 @@ func TestServerEventsReplayAfterRestart(t *testing.T) {
 	// The reloaded job's result is still served.
 	if _, err := c.Result(context.Background(), list[0].ID); err != nil {
 		t.Fatalf("result after restart: %v", err)
+	}
+}
+
+// TestResumeRepairsTornEventsTail: a crash mid-append can leave a torn
+// final line in a suspended job's events.jsonl. The resume leg after a
+// restart drops it before appending, so both the file and the HTTP
+// event stream stay valid and record the repair.
+func TestResumeRepairsTornEventsTail(t *testing.T) {
+	dataDir := t.TempDir()
+	var id string
+	func() {
+		s, c := testServer(t, Options{DataDir: dataDir, Workers: 1})
+		st, err := c.Submit(context.Background(),
+			Spec{Flow: FlowSimulate, Circuits: []string{"s298"}, Seed: 5, SeqLen: 64, StopAfterPolls: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st = waitTerminal(t, c, st.ID)
+		if st.State != StateSuspended || !st.Resumable {
+			t.Fatalf("interrupted job settled %s resumable=%v, want suspended+resumable", st.State, st.Resumable)
+		}
+		id = st.ID
+		s.Drain()
+	}()
+	path := filepath.Join(dataDir, id, "events.jsonl")
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(`{"type":"event","seq":9,"t":"2026`); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	_, c := testServer(t, Options{DataDir: dataDir, Workers: 1})
+	ctx := context.Background()
+	if _, err := c.Resume(ctx, id); err != nil {
+		t.Fatal(err)
+	}
+	var stream bytes.Buffer
+	final, err := c.Watch(ctx, id, &stream)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final.State != StateComplete {
+		t.Fatalf("resumed job settled %s (error %q), want complete", final.State, final.Error)
+	}
+	file, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, data := range map[string][]byte{"events.jsonl": file, "HTTP stream": stream.Bytes()} {
+		if _, err := obs.Validate(bytes.NewReader(data)); err != nil {
+			t.Errorf("%s invalid after resume: %v\n%s", name, err, data)
+		}
+		if !bytes.Contains(data, []byte(`"tail_repaired"`)) {
+			t.Errorf("%s does not record the tail repair", name)
+		}
+	}
+}
+
+// TestReloadIgnoresRetiredSpecField: a job.json whose spec still
+// carries the retired "engine" field reloads, because records are
+// decoded leniently; only a submitted spec is strict.
+func TestReloadIgnoresRetiredSpecField(t *testing.T) {
+	dataDir := t.TempDir()
+	var id string
+	func() {
+		s, c := testServer(t, Options{DataDir: dataDir, Workers: 1})
+		st, err := c.Submit(context.Background(), Spec{Flow: FlowCompact, Circuits: []string{"s27"}, SeqLen: 16})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st = waitTerminal(t, c, st.ID); st.State != StateComplete {
+			t.Fatalf("job settled %s (error %q), want complete", st.State, st.Error)
+		}
+		id = st.ID
+		s.Drain()
+	}()
+	path := filepath.Join(dataDir, id, "job.json")
+	var rec map[string]any
+	data, err := os.ReadFile(path)
+	if err == nil {
+		err = json.Unmarshal(data, &rec)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec["spec"].(map[string]any)["engine"] = "scratch"
+	if data, err = json.Marshal(rec); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	_, c := testServer(t, Options{DataDir: dataDir, Workers: 1})
+	st, err := c.Get(context.Background(), id)
+	if err != nil {
+		t.Fatalf("job with a retired spec field not reloaded: %v", err)
+	}
+	if st.State != StateComplete {
+		t.Fatalf("reloaded job in state %s, want complete", st.State)
+	}
+	if _, err := c.Result(context.Background(), id); err != nil {
+		t.Fatalf("result after reload: %v", err)
 	}
 }

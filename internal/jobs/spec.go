@@ -62,9 +62,6 @@ type Spec struct {
 	// Workers is the per-task fault-simulation worker count
 	// (0 = GOMAXPROCS). Results are identical for every value.
 	Workers int `json:"workers,omitempty"`
-	// Engine selects the restoration trial engine: "", "auto",
-	// "incremental" or "scratch" (output identical).
-	Engine string `json:"engine,omitempty"`
 	// AdiOrder restores faults in increasing accidental-detection-index
 	// order (changes the compacted output, deterministically).
 	AdiOrder bool `json:"adi_order,omitempty"`
@@ -160,9 +157,6 @@ func (s *Spec) Validate() error {
 	}
 	if s.Workers < 0 {
 		return specErrf("workers", "must be non-negative")
-	}
-	if _, err := compact.ParseEngine(s.Engine); err != nil {
-		return specErrf("engine", "%q (want auto, incremental or scratch)", s.Engine)
 	}
 	if s.Partitions < 0 {
 		return specErrf("partitions", "must be non-negative")
@@ -265,12 +259,6 @@ func (s *Spec) omitShards() int {
 		return 1
 	}
 	return s.OmitShards
-}
-
-// engine parses the validated engine name.
-func (s *Spec) engine() compact.Engine {
-	e, _ := compact.ParseEngine(s.Engine)
-	return e
 }
 
 // order returns the restoration order the spec selects.

@@ -43,7 +43,6 @@ var specValidateCases = []struct {
 	{"negative chains", func(s *Spec) { s.Chains = -1 }, "chains"},
 	{"chains on translate", func(s *Spec) { s.Flow = FlowTranslate; s.Chains = 2 }, "chains"},
 	{"negative workers", func(s *Spec) { s.Workers = -2 }, "workers"},
-	{"bad engine", func(s *Spec) { s.Engine = "turbo" }, "engine"},
 	{"negative partitions", func(s *Spec) { s.Flow = FlowSimulate; s.Partitions = -1 }, "partitions"},
 	{"partitions on generate", func(s *Spec) { s.Partitions = 2 }, "partitions"},
 	{"negative seq_len", func(s *Spec) { s.Flow = FlowSimulate; s.SeqLen = -5 }, "seq_len"},
@@ -91,6 +90,7 @@ func TestDecodeSpecStrict(t *testing.T) {
 		{"valid", `{"flow":"generate","circuits":["s27"]}`, true},
 		{"unknown field", `{"flow":"generate","circuits":["s27"],"sharding":2}`, false},
 		{"typo'd field", `{"flow":"generate","circuit":["s27"]}`, false},
+		{"retired engine field", `{"flow":"compact","circuits":["s27"],"engine":"scratch"}`, false},
 		{"empty body", ``, false},
 		{"malformed", `{"flow":`, false},
 		{"trailing data", `{"flow":"generate","circuits":["s27"]}{"x":1}`, false},

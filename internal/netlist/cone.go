@@ -2,15 +2,13 @@ package netlist
 
 import (
 	"cmp"
-	"math/bits"
 	"slices"
 	"sort"
 )
 
 // This file holds the static fanout structures behind event-driven
-// fault simulation: per-signal fanout gate lists, per-signal transitive
-// output cones (bitsets over gates), and the multi-cycle closure of a
-// set of fault sites (SequentialReach).
+// fault simulation: per-signal fanout gate lists and the multi-cycle
+// closure of a set of fault sites (SequentialReach).
 
 // FanoutGates returns the distinct gates reading signal s, in ascending
 // (level, gate index) order. A gate reading s on several pins appears
@@ -42,44 +40,6 @@ func (c *Circuit) buildFanoutGates() {
 	}
 }
 
-// GateWords returns the length of a []uint64 bitset over the circuit's
-// gates (one bit per gate).
-func (c *Circuit) GateWords() int { return (len(c.Gates) + 63) / 64 }
-
-// OutputCone returns the transitive combinational output cone of signal
-// s as a bitset over gate indices: bit g is set iff gate g is reachable
-// from s through gate connections only (flip-flops terminate the cone).
-// Cones are computed lazily on first request and memoized; the method is
-// safe for concurrent use and the returned slice must not be modified.
-func (c *Circuit) OutputCone(s SignalID) []uint64 {
-	c.coneMu.RLock()
-	cone := c.coneCache[s]
-	c.coneMu.RUnlock()
-	if cone != nil {
-		return cone
-	}
-	cone = make([]uint64, c.GateWords())
-	stack := append([]int32(nil), c.fanoutGates[s]...)
-	for len(stack) > 0 {
-		gi := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		w, b := gi>>6, uint(gi&63)
-		if cone[w]&(1<<b) != 0 {
-			continue
-		}
-		cone[w] |= 1 << b
-		stack = append(stack, c.fanoutGates[c.Gates[gi].Out]...)
-	}
-	c.coneMu.Lock()
-	if prev := c.coneCache[s]; prev != nil {
-		cone = prev // lost a benign race; keep the first published cone
-	} else {
-		c.coneCache[s] = cone
-	}
-	c.coneMu.Unlock()
-	return cone
-}
-
 // Reach is the multi-cycle closure of a set of fault sites: everything a
 // fault batch rooted at those sites can ever influence, across any
 // number of clock cycles. Reach values are reusable scratch — pass the
@@ -99,19 +59,20 @@ type Reach struct {
 	ffMark  []bool
 	marked  []SignalID // signals with sigMark set, for O(touched) reset
 	pending []int32    // FF worklist
+	stack   []SignalID // reachExpand's signal worklist
 }
 
-// SequentialReach computes into r the closure of the output cones rooted
-// at the site signals plus the given seed flip-flops (sites of D-pin
-// faults), iterated across the sequential boundary: whenever a reached
-// gate (or site signal) feeds a flip-flop's D pin, that flip-flop's
-// state can diverge and its Q cone is added, until a fixpoint. The
-// closure is a superset of what any stuck-at fault on those sites can
-// influence, so restricting simulation to it is sound.
+// SequentialReach computes into r the closure of the combinational
+// output cones (flip-flops terminate a cone) rooted at the site signals
+// plus the given seed flip-flops (sites of D-pin faults), iterated
+// across the sequential boundary: whenever a reached gate (or site
+// signal) feeds a flip-flop's D pin, that flip-flop's state can diverge
+// and its Q cone is added, until a fixpoint. The closure is a superset
+// of what any stuck-at fault on those sites can influence, so
+// restricting simulation to it is sound.
 func (c *Circuit) SequentialReach(sites []SignalID, seedFFs []int32, r *Reach) {
-	gw := c.GateWords()
 	if r.Gates == nil {
-		r.Gates = make([]uint64, gw)
+		r.Gates = make([]uint64, (len(c.Gates)+63)/64)
 		r.sigMark = make([]bool, len(c.Signals))
 		r.ffMark = make([]bool, len(c.FFs))
 	}
@@ -148,35 +109,29 @@ func (c *Circuit) SequentialReach(sites []SignalID, seedFFs []int32, r *Reach) {
 	}
 }
 
-// reachExpand marks signal s as faulty-capable, unions its output cone
-// into the reach, and queues any flip-flop fed by s or by a newly
-// reached gate.
+// reachExpand marks signal s and every signal in its output cone as
+// faulty-capable, adds the cone's gates to the reach, and queues any
+// flip-flop those signals feed. A gate already in the reach was expanded
+// when it joined, so the walk stops there.
 func (c *Circuit) reachExpand(s SignalID, r *Reach) {
-	c.reachMark(s, r)
-	for _, pr := range c.fanout[s] {
-		if pr.FF >= 0 {
-			c.reachAddFF(pr.FF, r)
+	stack := append(r.stack[:0], s)
+	for len(stack) > 0 {
+		sig := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		c.reachMark(sig, r)
+		for _, pr := range c.fanout[sig] {
+			if pr.FF >= 0 {
+				c.reachAddFF(pr.FF, r)
+			}
 		}
-	}
-	cone := c.OutputCone(s)
-	for w, word := range cone {
-		fresh := word &^ r.Gates[w]
-		if fresh == 0 {
-			continue
-		}
-		r.Gates[w] |= fresh
-		for fresh != 0 {
-			gi := int32(w*64 + bits.TrailingZeros64(fresh))
-			fresh &= fresh - 1
-			out := c.Gates[gi].Out
-			c.reachMark(out, r)
-			for _, pr := range c.fanout[out] {
-				if pr.FF >= 0 {
-					c.reachAddFF(pr.FF, r)
-				}
+		for _, gi := range c.fanoutGates[sig] {
+			if bit := uint64(1) << uint(gi&63); r.Gates[gi>>6]&bit == 0 {
+				r.Gates[gi>>6] |= bit
+				stack = append(stack, c.Gates[gi].Out)
 			}
 		}
 	}
+	r.stack = stack
 }
 
 func (c *Circuit) reachMark(s SignalID, r *Reach) {

@@ -82,38 +82,6 @@ func TestFanoutGates(t *testing.T) {
 	}
 }
 
-func TestOutputCone(t *testing.T) {
-	c := coneCircuit(t)
-	g1 := gateOf(t, c, "g1")
-	g2 := gateOf(t, c, "g2")
-	g3 := gateOf(t, c, "g3")
-	g4 := gateOf(t, c, "g4")
-
-	// a reaches g1, g2, g3 combinationally; the FF stops the cone
-	// before g4.
-	got := coneGates(t, c, c.OutputCone(sigID(t, c, "a")))
-	want := map[int32]bool{g1: true, g2: true, g3: true}
-	if len(got) != len(want) {
-		t.Fatalf("OutputCone(a) = %v, want %v", got, want)
-	}
-	for gi := range want {
-		if !got[gi] {
-			t.Fatalf("OutputCone(a) missing gate %d (%v)", gi, got)
-		}
-	}
-	// q reaches only g4.
-	got = coneGates(t, c, c.OutputCone(sigID(t, c, "q")))
-	if len(got) != 1 || !got[g4] {
-		t.Fatalf("OutputCone(q) = %v, want {%d}", got, g4)
-	}
-	// Memoization returns the identical slice.
-	c1 := c.OutputCone(sigID(t, c, "a"))
-	c2 := c.OutputCone(sigID(t, c, "a"))
-	if &c1[0] != &c2[0] {
-		t.Error("OutputCone not memoized")
-	}
-}
-
 func TestSequentialReach(t *testing.T) {
 	c := coneCircuit(t)
 	var r Reach

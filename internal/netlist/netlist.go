@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 )
 
 // GateType enumerates the supported combinational gate functions.
@@ -139,11 +138,6 @@ type Circuit struct {
 	// fanoutGates[s] lists the distinct reader gates of signal s in
 	// (level, index) order; see FanoutGates.
 	fanoutGates [][]int32
-
-	// coneCache memoizes per-signal transitive output cones; see
-	// OutputCone.
-	coneMu    sync.RWMutex
-	coneCache [][]uint64
 }
 
 // PinRef identifies one reading pin: input pin Pin of gate Gate, the D
@@ -364,7 +358,6 @@ func (b *Builder) Build() (*Circuit, error) {
 	c.buildFanout()
 	c.buildFanoutGates()
 	c.buildSweep()
-	c.coneCache = make([][]uint64, len(c.Signals))
 	return c, nil
 }
 

@@ -6,6 +6,7 @@ import (
 	"repro/internal/circuits"
 	"repro/internal/fault"
 	"repro/internal/logic"
+	"repro/internal/obs"
 	"repro/internal/scan"
 	"repro/internal/sim"
 )
@@ -219,5 +220,43 @@ func TestOptionsDefaults(t *testing.T) {
 	}
 	if candidates > sim.Slots {
 		t.Errorf("candidates = %d, more than one StepMulti holds", candidates)
+	}
+}
+
+// attemptLog records the generate/attempt events of a run next to its
+// counters.
+type attemptLog struct {
+	*obs.Registry
+	attempts [][]obs.Field
+}
+
+func (l *attemptLog) Event(phase, name string, fields ...obs.Field) {
+	if phase == "generate" && name == "attempt" {
+		l.attempts = append(l.attempts, fields)
+	}
+}
+
+// TestAttemptEvents pins the per-attempt event docs/ALGORITHMS.md §11
+// lists: one generate/attempt event per counted attempt, each carrying
+// the same fields in the same order.
+func TestAttemptEvents(t *testing.T) {
+	sc := loadScan(t, "s298")
+	faults := fault.Universe(sc.Scan, true)
+	log := &attemptLog{Registry: obs.NewRegistry()}
+	Generate(sc, faults, Options{Seed: 1, Obs: log})
+	n := log.Snapshot().Counters["generate.attempts"]
+	if n == 0 || int64(len(log.attempts)) != n {
+		t.Fatalf("%d attempt events, generate.attempts = %d", len(log.attempts), n)
+	}
+	want := []string{"pass", "fault", "ok", "frames", "flush", "sub_len", "seq_len"}
+	for i, fields := range log.attempts {
+		if len(fields) != len(want) {
+			t.Fatalf("attempt event %d has %d fields, want %v", i, len(fields), want)
+		}
+		for k, f := range fields {
+			if f.Key != want[k] {
+				t.Fatalf("attempt event %d field %d is %q, want %q", i, k, f.Key, want[k])
+			}
+		}
 	}
 }

@@ -32,7 +32,7 @@ func Invariants() []Invariant {
 		{"sim/trace-reuse", checkTraceReuse},
 		{"sim/scan-test", checkScanTest},
 		{"compact/keeps-detections", checkCompactKeepsDetections},
-		{"compact/engines", checkEngineEquivalence},
+		{"compact/workers", checkCompactWorkers},
 		{"compact/pipeline-length", checkPipelineLength},
 		{"resume/identical", checkResumeIdentical},
 		{"seq/padding-monotone", checkPaddingMonotone},
@@ -224,22 +224,19 @@ func seqEqual(a, b logic.Sequence) bool {
 	return true
 }
 
-// semantics extracts the Stats fields every engine must agree on.
-// Simulations and BatchSteps are deliberately excluded: they account
-// for the work an engine performed, which is exactly what the engines
-// differ in.
+// semantics extracts the Stats fields that do not depend on how the
+// work was split. Simulations and BatchSteps are excluded: they account
+// for the work performed, which chunked omission divides differently.
 func semantics(st compact.Stats) [4]int {
 	return [4]int{st.BeforeLen, st.AfterLen, st.TargetFaults, st.ExtraDetected}
 }
 
-// checkEngineEquivalence: the incremental restoration engine produces
-// sequences bit-identical to the serial scratch engine, at every worker
-// count and in both restoration orders, along with identical semantic
-// stats, and an incremental run interrupted at an arbitrary poll
-// boundary resumes to the same output. Engine selects restoration
-// behaviour only; omission has one trial engine, so its legs check the
-// same output at every worker count and across an interrupt/resume.
-func checkEngineEquivalence(w *Workload) string {
+// checkCompactWorkers: restoration and omission produce bit-identical
+// sequences and identical Stats, work accounting included, at every
+// worker count and in both restoration orders, with the one-worker run
+// as the reference; and a run interrupted at an arbitrary poll
+// boundary resumes to the one-worker detection-order output.
+func checkCompactWorkers(w *Workload) string {
 	type result struct {
 		seq logic.Sequence
 		st  compact.Stats
@@ -249,44 +246,47 @@ func checkEngineEquivalence(w *Workload) string {
 		o, ost := compact.OmitOpts(w.Design.Scan, w.Seq, w.Faults, opts)
 		return result{r, rst}, result{o, ost}
 	}
+	var detR, detO result
 	for _, order := range []compact.Order{compact.OrderDetection, compact.OrderADI} {
-		refR, refO := run(compact.Options{Workers: 1, Engine: compact.EngineScratch, Order: order})
+		refR, refO := run(compact.Options{Workers: 1, Order: order})
+		if order == compact.OrderDetection {
+			detR, detO = refR, refO
+		}
 		for _, workers := range workerCounts() {
-			gotR, gotO := run(compact.Options{Workers: workers, Engine: compact.EngineIncremental, Order: order})
+			if workers == 1 {
+				continue
+			}
+			gotR, gotO := run(compact.Options{Workers: workers, Order: order})
 			for _, c := range []struct {
 				pass     string
 				ref, got result
 			}{{"restore", refR, gotR}, {"omit", refO, gotO}} {
-				label := fmt.Sprintf("engines/%s order=%s workers=%d", c.pass, order, workers)
+				label := fmt.Sprintf("workers/%s order=%s workers=%d", c.pass, order, workers)
 				if !seqEqual(c.ref.seq, c.got.seq) {
-					return fmt.Sprintf("%s: incremental output (%d vectors) differs from scratch (%d vectors)",
+					return fmt.Sprintf("%s: output (%d vectors) differs from one worker's (%d vectors)",
 						label, len(c.got.seq), len(c.ref.seq))
 				}
-				if semantics(c.ref.st) != semantics(c.got.st) {
-					return fmt.Sprintf("%s: incremental stats %v differ from scratch %v",
-						label, semantics(c.got.st), semantics(c.ref.st))
+				if c.ref.st != c.got.st {
+					return fmt.Sprintf("%s: stats %+v differ from one worker's %+v", label, c.got.st, c.ref.st)
 				}
 			}
 		}
 	}
 
-	// Interrupt the incremental engine at a random poll boundary and
-	// resume; the final output must still match the scratch reference.
+	// Interrupt each pass at a random poll boundary and resume; the
+	// final output must still match the uninterrupted one-worker run.
 	rng := w.rng(9)
 	polls := int64(1 + rng.Intn(60))
-	refR, refO := run(compact.Options{Workers: 1, Engine: compact.EngineScratch})
 	for _, c := range []struct {
 		pass string
 		want logic.Sequence
 		run  func(ctl *runctl.Control) (logic.Sequence, compact.Stats)
 	}{
-		{"restore", refR.seq, func(ctl *runctl.Control) (logic.Sequence, compact.Stats) {
-			return compact.RestoreOpts(w.Design.Scan, w.Seq, w.Faults,
-				compact.Options{Workers: 1, Engine: compact.EngineIncremental, Control: ctl})
+		{"restore", detR.seq, func(ctl *runctl.Control) (logic.Sequence, compact.Stats) {
+			return compact.RestoreOpts(w.Design.Scan, w.Seq, w.Faults, compact.Options{Workers: 1, Control: ctl})
 		}},
-		{"omit", refO.seq, func(ctl *runctl.Control) (logic.Sequence, compact.Stats) {
-			return compact.OmitOpts(w.Design.Scan, w.Seq, w.Faults,
-				compact.Options{Workers: 1, Engine: compact.EngineIncremental, Control: ctl})
+		{"omit", detO.seq, func(ctl *runctl.Control) (logic.Sequence, compact.Stats) {
+			return compact.OmitOpts(w.Design.Scan, w.Seq, w.Faults, compact.Options{Workers: 1, Control: ctl})
 		}},
 	} {
 		store := runctl.NewMemStore()
@@ -295,14 +295,14 @@ func checkEngineEquivalence(w *Workload) string {
 			continue // finished before the injected stop; nothing to resume
 		}
 		if st.Status != runctl.Canceled {
-			return fmt.Sprintf("engines/resume/%s: interrupted leg status %v, want canceled", c.pass, st.Status)
+			return fmt.Sprintf("workers/resume/%s: interrupted leg status %v, want canceled", c.pass, st.Status)
 		}
 		got, st := c.run(&runctl.Control{Store: store, Resume: true})
 		if st.Status != runctl.Resumed {
-			return fmt.Sprintf("engines/resume/%s: resumed leg status %v", c.pass, st.Status)
+			return fmt.Sprintf("workers/resume/%s: resumed leg status %v", c.pass, st.Status)
 		}
 		if !seqEqual(c.want, got) {
-			return fmt.Sprintf("engines/resume/%s: resumed incremental output (%d vectors) differs from scratch (%d vectors) after stop at poll %d",
+			return fmt.Sprintf("workers/resume/%s: resumed output (%d vectors) differs from the uninterrupted run (%d vectors) after stop at poll %d",
 				c.pass, len(got), len(c.want), polls)
 		}
 	}

@@ -174,8 +174,8 @@ func ConventionalCycles(tests []ScanTest, nsv int) int {
 }
 
 // CompactOptions tunes the compaction entry points Restore, Omit and
-// Compact. The zero value selects defaults (all cores, incremental
-// restoration engine, detection order, no budget, no observation).
+// Compact. The zero value selects defaults (all cores, detection order,
+// no budget, no observation).
 // Fields:
 //
 //   - Workers / Sim: fault-simulation parallelism, or a caller-owned
@@ -183,24 +183,18 @@ func ConventionalCycles(tests []ScanTest, nsv int) int {
 //   - Control: budget/cancellation and checkpoint/resume — the former
 //     *WithControl variants folded into the options struct.
 //   - Obs: the flight-recorder Observer for the pass.
-//   - Engine: the restoration trial engine (output identical for every
-//     engine; omission has one engine and ignores it).
+//   - Engine: selects nothing; restoration has one engine, and the
+//     field goes with the next benchmark change.
 //   - Order: the restoration target order (OrderADI changes output).
 type CompactOptions = compact.Options
-
-// CompactEngine selects the restoration trial engine.
-type CompactEngine = compact.Engine
 
 // CompactOrder selects the restoration target order.
 type CompactOrder = compact.Order
 
-// Compaction engine and order values for CompactOptions.
+// Restoration order values for CompactOptions.
 const (
-	EngineAuto        = compact.EngineAuto
-	EngineIncremental = compact.EngineIncremental
-	EngineScratch     = compact.EngineScratch
-	OrderDetection    = compact.OrderDetection
-	OrderADI          = compact.OrderADI
+	OrderDetection = compact.OrderDetection
+	OrderADI       = compact.OrderADI
 )
 
 // Restore applies vector-restoration compaction [23] to a test sequence
@@ -218,8 +212,8 @@ func Omit(sc *ScanCircuit, seq Sequence, faults []Fault, opts CompactOptions) (S
 
 // Compact applies the paper's Section 4 pipeline — restoration followed
 // by omission — and returns the final sequence with the omission stats.
-// Budgets, checkpointing, observation and engine/order selection all
-// ride in opts; with a Control set, a stopped pass returns the valid
+// Budgets, checkpointing, observation and order selection all ride in
+// opts; with a Control set, a stopped pass returns the valid
 // partially compacted sequence with Stats.Status set.
 func Compact(sc *ScanCircuit, seq Sequence, faults []Fault, opts CompactOptions) (Sequence, CompactionStats) {
 	_, omitted, _, ost := compact.RestoreThenOmitOpts(sc.ScanCircuit(), seq, faults, opts)
