@@ -3,8 +3,10 @@ package jobs
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"time"
@@ -214,7 +216,11 @@ func (j *job) openLeg(resume bool) error {
 			return err
 		}
 	}
-	history, _ := os.ReadFile(j.eventsPath())
+	history, err := os.ReadFile(j.eventsPath())
+	if err != nil && !errors.Is(err, fs.ErrNotExist) {
+		cancel()
+		return err
+	}
 	j.hub = newHub(history)
 	f, err := os.OpenFile(j.eventsPath(), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
