@@ -14,7 +14,8 @@ vet:
 race:
 	$(GO) test -race ./...
 
-# bench runs the fault-simulation benchmarks and writes a
+# bench runs the fault-simulation benchmarks and the generator-layer
+# ones (Generate end to end, the incremental fault manager) and writes a
 # machine-readable summary (ns/op, allocs/op, batchsteps, fastfwd, ...)
 # to BENCH_sim.json via cmd/benchjson. -benchtime can be overridden:
 #   make bench BENCHTIME=10x
@@ -23,6 +24,7 @@ BENCHTIME ?= 1s
 bench:
 	{ $(GO) test -run '^$$' -bench 'FaultSimScan|RunSubsetScan|Run$$|StepClean|StepFaulty' \
 		-benchmem -benchtime $(BENCHTIME) ./internal/sim/ && \
+	  $(GO) test -run '^$$' -bench 'Generate$$|ManagerAppend' -benchmem -benchtime $(BENCHTIME) ./internal/seqatpg/ && \
 	  $(GO) test -run '^$$' -bench 'Compaction' -benchmem -benchtime 1x ./internal/compact/ ; } | \
 		tee /dev/stderr | $(GO) run ./cmd/benchjson > BENCH_sim.json
 
@@ -36,15 +38,17 @@ bench-compact:
 		-benchmem -benchtime $(BENCHTIME) ./internal/compact/ | \
 		tee /dev/stderr | $(GO) run ./cmd/benchjson > BENCH_compact.json
 
-# fuzz runs the .bench and tester-program parser fuzzers and the job
-# spec decoder fuzzer for a short smoke interval each, as CI does.
-# Override with FUZZTIME=5m for a longer local run.
+# fuzz runs the .bench and tester-program parser fuzzers, the job spec
+# decoder fuzzer and the checkpoint envelope fuzzer for a short smoke
+# interval each, as CI does. Override with FUZZTIME=5m for a longer
+# local run.
 FUZZTIME ?= 20s
 
 fuzz:
 	$(GO) test -fuzz=FuzzParse -fuzztime $(FUZZTIME) ./internal/bench
 	$(GO) test -fuzz=FuzzProgramParse -fuzztime $(FUZZTIME) ./internal/testprog
 	$(GO) test -fuzz=FuzzDecodeSpec -fuzztime $(FUZZTIME) ./internal/jobs
+	$(GO) test -fuzz=FuzzDecodeEnvelope -fuzztime $(FUZZTIME) ./internal/runctl
 
 # metrics-check exercises the -metrics flight recorder end to end: a
 # tiny s27 generation+compaction run writes a JSONL file, and

@@ -45,10 +45,12 @@ func TestEnvelopeRoundTrip(t *testing.T) {
 	}
 }
 
+// v1Checkpoint is a checkpoint in the legacy bare-JSON format.
+const v1Checkpoint = `{"format":"scanatpg-checkpoint/v1","sections":{"sec":{"n":7,"s":"old"}}}`
+
 func TestLegacyV1StillReadable(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "old.ckpt")
-	v1 := `{"format":"scanatpg-checkpoint/v1","sections":{"sec":{"n":7,"s":"old"}}}`
-	if err := os.WriteFile(path, []byte(v1), 0o644); err != nil {
+	if err := os.WriteFile(path, []byte(v1Checkpoint), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	var got ckPayload
@@ -67,30 +69,34 @@ func corruptKindOf(t *testing.T, err error) CorruptKind {
 	return ce.Kind
 }
 
+// corruptionCases are TestCorruptionClassesAreTyped's inputs, also
+// FuzzDecodeEnvelope's seed corpus: each mangles a valid v2 checkpoint
+// file into one that must fail to decode with the given kind.
+var corruptionCases = []struct {
+	name   string
+	mangle func(data []byte) []byte
+	kind   CorruptKind
+}{
+	{"truncated", func(d []byte) []byte { return d[:len(d)/2] }, CorruptFraming},
+	{"bit flip in ckPayload", func(d []byte) []byte {
+		d[len(d)-3] ^= 0x40
+		return d
+	}, CorruptChecksum},
+	{"wrong version", func(d []byte) []byte {
+		return append([]byte("scanatpg-checkpoint/v9 len=2 crc=00000000\n{}"), nil...)
+	}, CorruptVersion},
+	{"foreign contents", func(d []byte) []byte { return []byte("PK\x03\x04 not ours") }, CorruptHeader},
+	{"trailing garbage", func(d []byte) []byte { return append(d, []byte("extra")...) }, CorruptFraming},
+	{"header torn mid-line", func(d []byte) []byte { return d[:10] }, CorruptFraming},
+	{"empty file", func(d []byte) []byte { return nil }, CorruptHeader},
+	{"v1 syntax error", func(d []byte) []byte { return []byte("{not json") }, CorruptSection},
+	{"v1 foreign format", func(d []byte) []byte {
+		return []byte(`{"format":"other-tool/v3","sections":{}}`)
+	}, CorruptVersion},
+}
+
 func TestCorruptionClassesAreTyped(t *testing.T) {
-	cases := []struct {
-		name   string
-		mangle func(data []byte) []byte
-		kind   CorruptKind
-	}{
-		{"truncated", func(d []byte) []byte { return d[:len(d)/2] }, CorruptFraming},
-		{"bit flip in ckPayload", func(d []byte) []byte {
-			d[len(d)-3] ^= 0x40
-			return d
-		}, CorruptChecksum},
-		{"wrong version", func(d []byte) []byte {
-			return append([]byte("scanatpg-checkpoint/v9 len=2 crc=00000000\n{}"), nil...)
-		}, CorruptVersion},
-		{"foreign contents", func(d []byte) []byte { return []byte("PK\x03\x04 not ours") }, CorruptHeader},
-		{"trailing garbage", func(d []byte) []byte { return append(d, []byte("extra")...) }, CorruptFraming},
-		{"header torn mid-line", func(d []byte) []byte { return d[:10] }, CorruptFraming},
-		{"empty file", func(d []byte) []byte { return nil }, CorruptHeader},
-		{"v1 syntax error", func(d []byte) []byte { return []byte("{not json") }, CorruptSection},
-		{"v1 foreign format", func(d []byte) []byte {
-			return []byte(`{"format":"other-tool/v3","sections":{}}`)
-		}, CorruptVersion},
-	}
-	for _, tc := range cases {
+	for _, tc := range corruptionCases {
 		t.Run(tc.name, func(t *testing.T) {
 			fs := newStoreWithSaves(t, 1) // single generation: no rollback possible
 			data, err := os.ReadFile(fs.path)

@@ -137,6 +137,7 @@ func Generate(sc *scan.Circuit, faults []fault.Fault, opts Options) Result {
 	s.Observe(o)
 	mgr := NewManagerSim(s, faults)
 	defer mgr.Close()
+	mgr.Observe(o)
 	pod := combatpg.NewGenerator(c, combatpg.Options{
 		ObservePPO:    true,
 		MaxBacktracks: podemBacktracks,

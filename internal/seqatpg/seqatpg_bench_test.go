@@ -5,8 +5,9 @@ import (
 
 	"repro/internal/circuits"
 	"repro/internal/fault"
-	"repro/internal/logic"
+	"repro/internal/obs"
 	"repro/internal/scan"
+	"repro/internal/sim"
 )
 
 // BenchmarkGenerate measures the Section 2 generator end to end on
@@ -62,8 +63,10 @@ func BenchmarkGenerateAblation(b *testing.B) {
 	}
 }
 
-// BenchmarkManagerAppend measures the incremental fault manager's
-// per-vector cost with the full fault universe alive.
+// BenchmarkManagerAppend measures the incremental fault manager: each
+// op appends the sequence Generate builds for s953 at seed 1 to a fresh
+// Manager over the full fault universe, so every op does the same work,
+// and batchsteps reports the batch-vector steps one op takes.
 func BenchmarkManagerAppend(b *testing.B) {
 	c, err := circuits.Load("s953")
 	if err != nil {
@@ -74,11 +77,15 @@ func BenchmarkManagerAppend(b *testing.B) {
 		b.Fatal(err)
 	}
 	faults := fault.Universe(sc.Scan, true)
-	mgr := NewManager(sc.Scan, faults)
-	v := sc.ShiftVector(logic.One)
-	v.FillX(logic.NewRandFiller(3))
+	seq := Generate(sc, faults, Options{Seed: 1}).Sequence
+	s := sim.NewSimulator(sc.Scan, 1)
+	reg := obs.NewRegistry()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		mgr.Append(v)
+		mgr := NewManagerSim(s, faults)
+		mgr.Observe(reg)
+		mgr.AppendSequence(seq)
+		mgr.Close()
 	}
+	b.ReportMetric(float64(reg.Snapshot().Counters["generate.batch_steps"])/float64(b.N), "batchsteps")
 }

@@ -40,7 +40,10 @@ func GenerateTransition(sc *scan.Circuit, faults []transition.Fault, opts Option
 	opts = opts.withDefaults()
 	c := sc.ScanCircuit()
 	s := sim.NewSimulator(c, opts.Workers)
-	mgr := newManager(s, len(faults), func(m *sim.Machine, lo, hi int) { transition.InjectBatch(m, faults[lo:hi]) })
+	inject := func(m *sim.Machine, i int, mask uint64) error {
+		return m.InjectTransitionFault(faults[i].Signal, faults[i].SlowToRise, mask)
+	}
+	mgr := newManager(s, len(faults), inject)
 	defer mgr.Close()
 	rng := logic.NewRandFiller(opts.Seed ^ 0x7452414E)
 	a := newAttempter(sc, opts, s)
@@ -52,15 +55,12 @@ func GenerateTransition(sc *scan.Circuit, faults []transition.Fault, opts Option
 			if mgr.Detected(fi) {
 				continue
 			}
-			f := faults[fi]
 			// A pseudo stuck-at fault carries the focus signal for
 			// the candidate fitness; injection installs the real
 			// transition fault.
-			focus := fault.Fault{Site: fault.Site{Signal: f.Signal, Gate: -1, Pin: -1, FF: -1}}
-			inject := func(m *sim.Machine) error {
-				return m.InjectTransitionFault(f.Signal, f.SlowToRise, sim.AllSlots)
-			}
-			sub, _, ok := a.attemptWith(focus, inject, mgr.GoodState(), mgr.FaultyState(fi), nil, nil, rng)
+			focus := fault.Fault{Site: fault.Site{Signal: faults[fi].Signal, Gate: -1, Pin: -1, FF: -1}}
+			injectAll := func(m *sim.Machine) error { return inject(m, fi, sim.AllSlots) }
+			sub, _, ok := a.attemptWith(focus, injectAll, mgr.GoodState(), mgr.FaultyState(fi), nil, nil, rng)
 			if !ok {
 				continue
 			}

@@ -163,14 +163,11 @@ func (m *Machine) InjectTransitionFault(sig netlist.SignalID, slowToRise bool, m
 			m.transAt[i] = -1
 		}
 	}
-	for ti := m.transAt[sig]; ti >= 0; ti = m.trans[ti].next {
-		t := &m.trans[ti]
-		if t.slowToRise == slowToRise {
-			t.mask |= mask
-			m.hasFaults = true
-			m.hasTrans = true
-			return nil
-		}
+	if t := m.transSite(sig, slowToRise); t != nil {
+		t.mask |= mask
+		m.hasFaults = true
+		m.hasTrans = true
+		return nil
 	}
 	// New site; chain it in front of any existing ones on this signal
 	// (slots are disjoint, so application order does not matter).
@@ -189,6 +186,20 @@ func (m *Machine) InjectTransitionFault(sig netlist.SignalID, slowToRise bool, m
 	}
 	m.hasFaults = true
 	m.hasTrans = true
+	return nil
+}
+
+// transSite returns the transition site of the given polarity on sig,
+// or nil when there is none.
+func (m *Machine) transSite(sig netlist.SignalID, slowToRise bool) *transSite {
+	if m.transAt == nil {
+		return nil
+	}
+	for ti := m.transAt[sig]; ti >= 0; ti = m.trans[ti].next {
+		if t := &m.trans[ti]; t.slowToRise == slowToRise {
+			return t
+		}
+	}
 	return nil
 }
 
@@ -323,11 +334,43 @@ func (m *Machine) RestoreState(s State) {
 // LoadSlot copies slot src of snapshot s into slot dst of the machine's
 // flip-flop state; every other slot keeps its value.
 func (m *Machine) LoadSlot(dst int, s *State, src int) {
-	d, sh := uint64(1)<<uint(dst), uint(src)
 	for i := range m.sz {
-		m.sz[i] = m.sz[i]&^d | (s.sz[i]>>sh&1)<<uint(dst)
-		m.so[i] = m.so[i]&^d | (s.so[i]>>sh&1)<<uint(dst)
+		m.sz[i] = copyBit(m.sz[i], dst, s.sz[i], src)
+		m.so[i] = copyBit(m.so[i], dst, s.so[i], src)
 	}
+}
+
+// CopySlot copies slot srcSlot of machine src into slot dst of m: the
+// flip-flop state and the transition-site history, so a fault moved
+// between machines goes on exactly as if it had stayed. A State holds
+// no transition history, which is why LoadSlot cannot move a
+// transition fault: its site would restart at X and could detect at a
+// different time. m must already carry the fault meant for slot dst;
+// each of m's transition sites covering dst takes the history of src's
+// site on the same signal and polarity (X when src has none). Every
+// other slot keeps its value.
+func (m *Machine) CopySlot(dst int, src *Machine, srcSlot int) {
+	for i := range m.sz {
+		m.sz[i] = copyBit(m.sz[i], dst, src.sz[i], srcSlot)
+		m.so[i] = copyBit(m.so[i], dst, src.so[i], srcSlot)
+	}
+	for ti := range m.trans {
+		t := &m.trans[ti]
+		if t.mask>>uint(dst)&1 == 0 {
+			continue
+		}
+		z, o := AllSlots, AllSlots
+		if st := src.transSite(t.sig, t.slowToRise); st != nil {
+			z, o = st.prevZ, st.prevO
+		}
+		t.prevZ = copyBit(t.prevZ, dst, z, srcSlot)
+		t.prevO = copyBit(t.prevO, dst, o, srcSlot)
+	}
+}
+
+// copyBit returns w with bit dst replaced by bit src of v.
+func copyBit(w uint64, dst int, v uint64, src int) uint64 {
+	return w&^(1<<uint(dst)) | (v>>uint(src)&1)<<uint(dst)
 }
 
 // SetStateBroadcast sets every slot's state to vals (one value per

@@ -352,6 +352,62 @@ func TestLoadSlot(t *testing.T) {
 	}
 }
 
+// TestCopySlot moves 64 transition faults, each with its own history,
+// from one machine into the reversed slots of another that carries the
+// same faults but has seen other vectors: from then on every moved
+// fault's state and outputs must follow its original's, step by step.
+// A copy of the flip-flop planes alone would restart moved sites with
+// the wrong history.
+func TestCopySlot(t *testing.T) {
+	c, err := circuits.Load("s298")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := logic.NewRandFiller(9)
+	vector := func() logic.Vector {
+		v := logic.NewVector(c.NumInputs())
+		for j := range v {
+			v[j] = rng.Next()
+		}
+		return v
+	}
+	src, dst := New(c), New(c)
+	for k := 0; k < Slots; k++ {
+		sig, rise := netlist.SignalID(2*k%len(c.Signals)), k%3 == 0
+		if err := src.InjectTransitionFault(sig, rise, 1<<uint(k)); err != nil {
+			t.Fatal(err)
+		}
+		if err := dst.InjectTransitionFault(sig, rise, 1<<uint(Slots-1-k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 5; i++ {
+		src.Step(vector())
+		dst.Step(vector())
+	}
+	for k := 0; k < Slots; k++ {
+		dst.CopySlot(Slots-1-k, src, k)
+	}
+	for step := 0; step < 8; step++ {
+		v := vector()
+		src.Step(v)
+		dst.Step(v)
+		for k := 0; k < Slots; k++ {
+			want, got := src.StateSlot(k), dst.StateSlot(Slots-1-k)
+			for fi := range want {
+				if got[fi] != want[fi] {
+					t.Fatalf("step %d, fault of slot %d: flip-flop %d = %v, want %v", step, k, fi, got[fi], want[fi])
+				}
+			}
+			for po := range c.Outputs {
+				if g, w := dst.OutputSlot(po, Slots-1-k), src.OutputSlot(po, k); g != w {
+					t.Fatalf("step %d, fault of slot %d: output %d = %v, want %v", step, k, po, g, w)
+				}
+			}
+		}
+	}
+}
+
 func TestDetectMask(t *testing.T) {
 	g0z, g0o := broadcast(logic.Zero)
 	if DetectMask(g0z, g0o, 0, AllSlots) != AllSlots {

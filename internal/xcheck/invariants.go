@@ -233,77 +233,66 @@ func semantics(st compact.Stats) [4]int {
 
 // checkCompactWorkers: restoration and omission produce bit-identical
 // sequences and identical Stats, work accounting included, at every
-// worker count and in both restoration orders, with the one-worker run
-// as the reference; and a run interrupted at an arbitrary poll
-// boundary resumes to the one-worker detection-order output.
+// worker count, with the one-worker run as the reference; restoration
+// in both orders, omission in detection order only, because OmitOpts
+// does not read Order and an OrderADI run would repeat it exactly. A
+// run of either pass interrupted at an arbitrary poll boundary resumes
+// to the one-worker detection-order output.
 func checkCompactWorkers(w *Workload) string {
-	type result struct {
-		seq logic.Sequence
-		st  compact.Stats
+	passes := []struct {
+		name   string
+		orders []compact.Order // the first one's one-worker run is the resume reference
+		run    func(compact.Options) (logic.Sequence, compact.Stats)
+	}{
+		{"restore", []compact.Order{compact.OrderDetection, compact.OrderADI}, func(o compact.Options) (logic.Sequence, compact.Stats) {
+			return compact.RestoreOpts(w.Design.Scan, w.Seq, w.Faults, o)
+		}},
+		{"omit", []compact.Order{compact.OrderDetection}, func(o compact.Options) (logic.Sequence, compact.Stats) {
+			return compact.OmitOpts(w.Design.Scan, w.Seq, w.Faults, o)
+		}},
 	}
-	run := func(opts compact.Options) (result, result) {
-		r, rst := compact.RestoreOpts(w.Design.Scan, w.Seq, w.Faults, opts)
-		o, ost := compact.OmitOpts(w.Design.Scan, w.Seq, w.Faults, opts)
-		return result{r, rst}, result{o, ost}
-	}
-	var detR, detO result
-	for _, order := range []compact.Order{compact.OrderDetection, compact.OrderADI} {
-		refR, refO := run(compact.Options{Workers: 1, Order: order})
-		if order == compact.OrderDetection {
-			detR, detO = refR, refO
-		}
-		for _, workers := range workerCounts() {
-			if workers == 1 {
-				continue
-			}
-			gotR, gotO := run(compact.Options{Workers: workers, Order: order})
-			for _, c := range []struct {
-				pass     string
-				ref, got result
-			}{{"restore", refR, gotR}, {"omit", refO, gotO}} {
-				label := fmt.Sprintf("workers/%s order=%s workers=%d", c.pass, order, workers)
-				if !seqEqual(c.ref.seq, c.got.seq) {
-					return fmt.Sprintf("%s: output (%d vectors) differs from one worker's (%d vectors)",
-						label, len(c.got.seq), len(c.ref.seq))
-				}
-				if c.ref.st != c.got.st {
-					return fmt.Sprintf("%s: stats %+v differ from one worker's %+v", label, c.got.st, c.ref.st)
-				}
-			}
-		}
-	}
-
 	// Interrupt each pass at a random poll boundary and resume; the
 	// final output must still match the uninterrupted one-worker run.
 	rng := w.rng(9)
 	polls := int64(1 + rng.Intn(60))
-	for _, c := range []struct {
-		pass string
-		want logic.Sequence
-		run  func(ctl *runctl.Control) (logic.Sequence, compact.Stats)
-	}{
-		{"restore", detR.seq, func(ctl *runctl.Control) (logic.Sequence, compact.Stats) {
-			return compact.RestoreOpts(w.Design.Scan, w.Seq, w.Faults, compact.Options{Workers: 1, Control: ctl})
-		}},
-		{"omit", detO.seq, func(ctl *runctl.Control) (logic.Sequence, compact.Stats) {
-			return compact.OmitOpts(w.Design.Scan, w.Seq, w.Faults, compact.Options{Workers: 1, Control: ctl})
-		}},
-	} {
+	for _, p := range passes {
+		var want logic.Sequence
+		for i, order := range p.orders {
+			refSeq, refSt := p.run(compact.Options{Workers: 1, Order: order})
+			if i == 0 {
+				want = refSeq
+			}
+			for _, workers := range workerCounts() {
+				if workers == 1 {
+					continue
+				}
+				seq, st := p.run(compact.Options{Workers: workers, Order: order})
+				label := fmt.Sprintf("workers/%s order=%s workers=%d", p.name, order, workers)
+				if !seqEqual(refSeq, seq) {
+					return fmt.Sprintf("%s: output (%d vectors) differs from one worker's (%d vectors)",
+						label, len(seq), len(refSeq))
+				}
+				if refSt != st {
+					return fmt.Sprintf("%s: stats %+v differ from one worker's %+v", label, st, refSt)
+				}
+			}
+		}
+
 		store := runctl.NewMemStore()
-		_, st := c.run(resumeControl(store, polls))
+		_, st := p.run(compact.Options{Workers: 1, Control: resumeControl(store, polls)})
 		if st.Status == runctl.Complete {
 			continue // finished before the injected stop; nothing to resume
 		}
 		if st.Status != runctl.Canceled {
-			return fmt.Sprintf("workers/resume/%s: interrupted leg status %v, want canceled", c.pass, st.Status)
+			return fmt.Sprintf("workers/resume/%s: interrupted leg status %v, want canceled", p.name, st.Status)
 		}
-		got, st := c.run(&runctl.Control{Store: store, Resume: true})
+		got, st := p.run(compact.Options{Workers: 1, Control: &runctl.Control{Store: store, Resume: true}})
 		if st.Status != runctl.Resumed {
-			return fmt.Sprintf("workers/resume/%s: resumed leg status %v", c.pass, st.Status)
+			return fmt.Sprintf("workers/resume/%s: resumed leg status %v", p.name, st.Status)
 		}
-		if !seqEqual(c.want, got) {
+		if !seqEqual(want, got) {
 			return fmt.Sprintf("workers/resume/%s: resumed output (%d vectors) differs from the uninterrupted run (%d vectors) after stop at poll %d",
-				c.pass, len(got), len(c.want), polls)
+				p.name, len(got), len(want), polls)
 		}
 	}
 	return ""
