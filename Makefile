@@ -14,10 +14,11 @@ vet:
 race:
 	$(GO) test -race ./...
 
-# bench runs the fault-simulation benchmarks and the generator-layer
-# ones (Generate end to end, the incremental fault manager) and writes a
-# machine-readable summary (ns/op, allocs/op, batchsteps, fastfwd, ...)
-# to BENCH_sim.json via cmd/benchjson. -benchtime can be overridden:
+# bench runs the fault-simulation benchmarks, the generator-layer ones
+# (Generate end to end, the incremental fault manager) and PODEM's, and
+# writes a machine-readable summary (ns/op, allocs/op, batchsteps,
+# fastfwd, frontier_gates, ...) to BENCH_sim.json via cmd/benchjson.
+# -benchtime can be overridden:
 #   make bench BENCHTIME=10x
 BENCHTIME ?= 1s
 
@@ -25,6 +26,7 @@ bench:
 	{ $(GO) test -run '^$$' -bench 'FaultSimScan|RunSubsetScan|Run$$|StepClean|StepFaulty' \
 		-benchmem -benchtime $(BENCHTIME) ./internal/sim/ && \
 	  $(GO) test -run '^$$' -bench 'Generate$$|ManagerAppend' -benchmem -benchtime $(BENCHTIME) ./internal/seqatpg/ && \
+	  $(GO) test -run '^$$' -bench 'Podem' -benchmem -benchtime $(BENCHTIME) ./internal/combatpg/ && \
 	  $(GO) test -run '^$$' -bench 'Compaction' -benchmem -benchtime 1x ./internal/compact/ ; } | \
 		tee /dev/stderr | $(GO) run ./cmd/benchjson > BENCH_sim.json
 
@@ -39,9 +41,9 @@ bench-compact:
 		tee /dev/stderr | $(GO) run ./cmd/benchjson > BENCH_compact.json
 
 # fuzz runs the .bench and tester-program parser fuzzers, the job spec
-# decoder fuzzer and the checkpoint envelope fuzzer for a short smoke
-# interval each, as CI does. Override with FUZZTIME=5m for a longer
-# local run.
+# decoder fuzzer, the checkpoint envelope fuzzer and the metrics-file
+# tail repair fuzzer for a short smoke interval each, as CI does.
+# Override with FUZZTIME=5m for a longer local run.
 FUZZTIME ?= 20s
 
 fuzz:
@@ -49,6 +51,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzProgramParse -fuzztime $(FUZZTIME) ./internal/testprog
 	$(GO) test -fuzz=FuzzDecodeSpec -fuzztime $(FUZZTIME) ./internal/jobs
 	$(GO) test -fuzz=FuzzDecodeEnvelope -fuzztime $(FUZZTIME) ./internal/runctl
+	$(GO) test -fuzz=FuzzRepairTail -fuzztime $(FUZZTIME) ./internal/obs
 
 # metrics-check exercises the -metrics flight recorder end to end: a
 # tiny s27 generation+compaction run writes a JSONL file, and

@@ -14,6 +14,8 @@
 package combatpg
 
 import (
+	"math/bits"
+
 	"repro/internal/fault"
 	"repro/internal/logic"
 	"repro/internal/netlist"
@@ -80,6 +82,9 @@ type Result struct {
 	State logic.Vector
 	// Backtracks is the number of backtracks performed.
 	Backtracks int
+	// FrontierGates is the number of gates the D-frontier search
+	// examined: the fault's cone once per propagation objective.
+	FrontierGates int
 }
 
 // Generator holds the per-circuit machinery so repeated PODEM calls
@@ -91,11 +96,22 @@ type Generator struct {
 
 	nPI, nFF int
 	assign   []logic.Value // decision variables: PIs then PPIs
-	obsDist  []int32       // static min distance to an observation point
+	// state is the present state imply applies: the PPI half of assign
+	// under AssignState, otherwise the fixed state padded with X.
+	state    logic.Vector
+	obsDist  []int32 // static min distance to an observation point
 	meas     *testability.Measures
+	orderPos []int32 // per gate: its position in c.Order
 
 	f       fault.Fault
 	haveFlt bool
+	// cone is a bitset over c.Order positions of the gates that can
+	// hold a D-frontier gate for the current fault (see buildCone);
+	// coneSize counts its members and stack is buildCone's worklist.
+	cone     []uint64
+	coneSize int
+	stack    []netlist.SignalID
+	frontier int // gates examined by propagateObjective this call
 }
 
 // faultSlot is the machine slot carrying the faulty circuit; slot 0 is
@@ -115,6 +131,16 @@ func NewGenerator(c *netlist.Circuit, opts Options) *Generator {
 		nFF:  c.NumFFs(),
 	}
 	g.assign = make([]logic.Value, g.nPI+g.nFF)
+	if opts.AssignState {
+		g.state = g.assign[g.nPI:]
+	} else {
+		g.state = make(logic.Vector, g.nFF)
+	}
+	g.orderPos = make([]int32, len(c.Gates))
+	for p, gi := range c.Order {
+		g.orderPos[gi] = int32(p)
+	}
+	g.cone = make([]uint64, (len(c.Order)+63)/64)
 	g.computeObsDist()
 	g.meas = testability.Compute(c)
 	return g
@@ -160,35 +186,89 @@ func (g *Generator) computeObsDist() {
 
 // Generate runs PODEM for fault f and returns the assignment found.
 func (g *Generator) Generate(f fault.Fault) Result {
+	if err := g.start(f); err != nil {
+		return Result{Status: Untestable}
+	}
+	res := g.search()
+	res.Vector = make(logic.Vector, g.nPI)
+	copy(res.Vector, g.assign[:g.nPI])
+	res.State = make(logic.Vector, g.nFF)
+	copy(res.State, g.state)
+	res.FrontierGates = g.frontier
+	return res
+}
+
+// start injects fault f and resets the search: every decision variable
+// at X, the fixed present state (X where FixedState is nil or short)
+// and the fault's cone.
+func (g *Generator) start(f fault.Fault) error {
 	g.m.ClearFaults()
 	if err := g.m.InjectFault(f, 1<<faultSlot); err != nil {
-		return Result{Status: Untestable}
+		return err
 	}
 	g.f = f
 	g.haveFlt = true
 	for i := range g.assign {
 		g.assign[i] = logic.X
 	}
-	res := g.search()
-	res.Vector = make(logic.Vector, g.nPI)
-	copy(res.Vector, g.assign[:g.nPI])
-	res.State = g.currentState()
-	return res
-}
-
-func (g *Generator) currentState() logic.Vector {
-	st := make(logic.Vector, g.nFF)
-	if g.opts.AssignState {
-		copy(st, g.assign[g.nPI:])
-		return st
-	}
-	for i := range st {
-		st[i] = logic.X
-		if g.opts.FixedState != nil && i < len(g.opts.FixedState) {
-			st[i] = g.opts.FixedState[i]
+	if !g.opts.AssignState {
+		n := copy(g.state, g.opts.FixedState)
+		for i := n; i < len(g.state); i++ {
+			g.state[i] = logic.X
 		}
 	}
-	return st
+	g.buildCone()
+	g.frontier = 0
+	return nil
+}
+
+// buildCone collects the gates that can hold a D-frontier gate for the
+// current fault: the combinational fanout of the fault site (for a
+// branch fault, the reading gate and its fanout; a D-pin fault has
+// none) and of every flip-flop whose faulty present state differs from
+// the good one. Outside it slot 0 and the faulty slot carry equal
+// planes after every imply, so no other gate has an effect input. The
+// bitset keeps the cone in c.Order order, which propagateObjective's
+// tie-break relies on.
+func (g *Generator) buildCone() {
+	clear(g.cone)
+	g.coneSize = 0
+	stack := g.stack[:0]
+	site := g.f.Site
+	switch {
+	case site.IsStem():
+		stack = append(stack, site.Signal)
+	case site.Gate >= 0:
+		stack = g.addConeGate(site.Gate, stack)
+	}
+	if g.opts.FaultyState != nil && !g.opts.AssignState {
+		for i, v := range g.state {
+			if g.opts.FaultyState[i] != v {
+				stack = append(stack, g.c.FFs[i].Q)
+			}
+		}
+	}
+	for len(stack) > 0 {
+		s := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, gi := range g.c.FanoutGates(s) {
+			stack = g.addConeGate(gi, stack)
+		}
+	}
+	g.stack = stack
+}
+
+// addConeGate adds gate gi to the cone and, the first time, pushes its
+// output for expansion.
+func (g *Generator) addConeGate(gi int32, stack []netlist.SignalID) []netlist.SignalID {
+	p := g.orderPos[gi]
+	bit := uint64(1) << uint(p&63)
+	if g.cone[p>>6]&bit != 0 {
+		return stack
+	}
+	g.cone[p>>6] |= bit
+	g.coneSize++
+	return append(stack, g.c.Gates[gi].Out)
 }
 
 type decision struct {
@@ -246,15 +326,12 @@ func (g *Generator) SetStates(good, faulty []logic.Value) {
 // imply performs full forward implication of the current assignment by
 // simulating one frame: slot 0 fault-free, slot 1 with the fault.
 func (g *Generator) imply() {
-	st := g.currentState()
 	if g.opts.FaultyState != nil && !g.opts.AssignState {
-		g.m.SetStatePair(st, g.opts.FaultyState)
+		g.m.SetStatePair(g.state, g.opts.FaultyState)
 	} else {
-		g.m.SetStateBroadcast(st)
+		g.m.SetStateBroadcast(g.state)
 	}
-	v := make(logic.Vector, g.nPI)
-	copy(v, g.assign[:g.nPI])
-	g.m.Step(v)
+	g.m.Step(g.assign[:g.nPI])
 }
 
 // composite reads the (good, faulty) pair of a signal after imply.
@@ -327,24 +404,32 @@ func (g *Generator) objective() (objective, bool) {
 	return objective{}, false
 }
 
+// pairSlots selects slot 0 (fault-free) and the faulty slot in a plane.
+const pairSlots = 1 | 1<<faultSlot
+
 // propagateObjective finds the D-frontier gate closest to an observation
 // point and returns a non-controlling assignment for one of its X
-// inputs.
+// inputs. Only the fault's cone can hold a D-frontier gate, and ties on
+// the distance go to the first gate in c.Order.
 func (g *Generator) propagateObjective() (objective, bool) {
+	g.frontier += g.coneSize
 	bestGate := int32(-1)
 	var bestDist int32 = 1 << 30
-	for _, gi := range g.c.Order {
-		gate := &g.c.Gates[gi]
-		ogv, ofv := g.composite(gate.Out)
-		if ogv != logic.X && ofv != logic.X {
-			continue
-		}
-		if !g.gateHasEffectInput(gi, gate) {
-			continue
-		}
-		if d := g.obsDist[gate.Out]; d < bestDist {
-			bestDist = d
-			bestGate = gi
+	for w, word := range g.cone {
+		for ; word != 0; word &= word - 1 {
+			gi := g.c.Order[w<<6|bits.TrailingZeros64(word)]
+			gate := &g.c.Gates[gi]
+			// Skip a gate whose output is binary in both slots.
+			if z, o := g.m.SignalPlanes(gate.Out); z&o&pairSlots == 0 {
+				continue
+			}
+			if !g.gateHasEffectInput(gi, gate) {
+				continue
+			}
+			if d := g.obsDist[gate.Out]; d < bestDist {
+				bestDist = d
+				bestGate = gi
+			}
 		}
 	}
 	if bestGate < 0 {
@@ -363,14 +448,17 @@ func (g *Generator) propagateObjective() (objective, bool) {
 }
 
 // gateHasEffectInput reports whether gate gi has a fault effect on one
-// of its input pins (accounting for a pin fault on this very gate).
+// of its input pins: slot 0 and the faulty slot both binary and
+// different. A branch fault on this very gate puts its stuck value on
+// its pin in the faulty slot.
 func (g *Generator) gateHasEffectInput(gi int32, gate *netlist.Gate) bool {
 	for p, in := range gate.In {
-		igv, ifv := g.composite(in)
+		z, o := g.m.SignalPlanes(in)
+		fz, fo := z>>faultSlot, o>>faultSlot
 		if g.f.Site.Gate == gi && int(g.f.Site.Pin) == p {
-			ifv = g.f.SA
+			fz, fo = sim.ValuePlanes(g.f.SA)
 		}
-		if effect(igv, ifv) {
+		if sim.DetectMask(z, o, fz, fo)&1 != 0 {
 			return true
 		}
 	}

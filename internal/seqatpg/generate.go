@@ -264,6 +264,7 @@ type attempter struct {
 	cFrames         *obs.Counter
 	cPodemCalls     *obs.Counter
 	cPodemBacktrack *obs.Counter
+	cPodemFrontier  *obs.Counter
 	cFlushVectors   *obs.Counter
 }
 
@@ -279,6 +280,7 @@ func newAttempter(sc *scan.Circuit, opts Options, s *sim.Simulator) *attempter {
 		cFrames:         obs.C(opts.Obs, "generate.frames"),
 		cPodemCalls:     obs.C(opts.Obs, "generate.podem_calls"),
 		cPodemBacktrack: obs.C(opts.Obs, "generate.podem_backtracks"),
+		cPodemFrontier:  obs.C(opts.Obs, "generate.podem_frontier_gates"),
 		cFlushVectors:   obs.C(opts.Obs, "generate.flush_vectors"),
 	}
 	c := sc.ScanCircuit()
@@ -412,8 +414,7 @@ func (a *attempter) withFlush(goodState, faultyState []logic.Value, prefix logic
 // flushes the latched effect to scan_out.
 func (a *attempter) justifyAttempt(f fault.Fault, goodState, faultyState []logic.Value, podFull *combatpg.Generator, rng *logic.RandFiller) (logic.Sequence, int, bool) {
 	r := podFull.Generate(f)
-	a.cPodemCalls.Inc()
-	a.cPodemBacktrack.Add(int64(r.Backtracks))
+	a.countPodem(r)
 	if r.Status != combatpg.Success {
 		return nil, -1, false
 	}
@@ -437,6 +438,14 @@ func (a *attempter) justifyAttempt(f fault.Fault, goodState, faultyState []logic
 	}
 	// Otherwise the effect (if any) is latched; flush it.
 	return a.withFlush(goodState, faultyState, seq, rng)
+}
+
+// countPodem adds one PODEM call's work to the generate.podem_*
+// counters.
+func (a *attempter) countPodem(r combatpg.Result) {
+	a.cPodemCalls.Inc()
+	a.cPodemBacktrack.Add(int64(r.Backtracks))
+	a.cPodemFrontier.Add(int64(r.FrontierGates))
 }
 
 // simulateDetect re-simulates seq from the given start states and
@@ -469,8 +478,7 @@ func (a *attempter) candidates(f fault.Fault, pod *combatpg.Generator, rng *logi
 	if pod != nil {
 		pod.SetStates(a.mg.StateSlot(0), a.mf.StateSlot(0))
 		r := pod.Generate(f)
-		a.cPodemCalls.Inc()
-		a.cPodemBacktrack.Add(int64(r.Backtracks))
+		a.countPodem(r)
 		if r.Status == combatpg.Success {
 			v := r.Vector
 			v.FillX(rng)

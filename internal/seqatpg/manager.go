@@ -40,8 +40,9 @@ type Manager struct {
 	good    *sim.Machine
 	inject  injector
 	batches []*faultBatch
-	at      []int32 // per fault: batch*sim.Slots + slot, where it sits
-	live    int     // undetected faults
+	free    []*faultBatch // records repack emptied, reused by add
+	at      []int32       // per fault: batch*sim.Slots + slot, where it sits
+	live    int           // undetected faults
 	cSteps  *obs.Counter
 
 	// DetectedAt[i] is the vector index detecting fault i, or -1.
@@ -131,7 +132,14 @@ func (mgr *Manager) locate(i int) (*faultBatch, int) {
 func (mgr *Manager) add(i int) (*sim.Machine, int) {
 	n := len(mgr.batches)
 	if n == 0 || len(mgr.batches[n-1].idx) == sim.Slots {
-		mgr.batches = append(mgr.batches, &faultBatch{m: mgr.sim.Acquire(), idx: make([]int, 0, sim.Slots)})
+		var b *faultBatch
+		if k := len(mgr.free); k > 0 {
+			b, mgr.free = mgr.free[k-1], mgr.free[:k-1]
+		} else {
+			b = &faultBatch{idx: make([]int, 0, sim.Slots)}
+		}
+		b.m = mgr.sim.Acquire()
+		mgr.batches = append(mgr.batches, b)
 		n++
 	}
 	b := mgr.batches[n-1]
@@ -150,6 +158,7 @@ func (mgr *Manager) add(i int) (*sim.Machine, int) {
 // (CopySlot carries the flip-flop planes and the transition history),
 // and each old machine goes back to the pool once its faults have
 // moved, so a repack holds at most one machine more than before it.
+// An emptied record goes on the free list for add to reuse.
 func (mgr *Manager) repack() {
 	old := mgr.batches
 	mgr.batches = make([]*faultBatch, 0, (mgr.live+sim.Slots-1)/sim.Slots)
@@ -160,6 +169,8 @@ func (mgr *Manager) repack() {
 			m.CopySlot(slot, ob.m, k)
 		}
 		mgr.sim.Release(ob.m)
+		*ob = faultBatch{idx: ob.idx[:0]}
+		mgr.free = append(mgr.free, ob)
 	}
 }
 
