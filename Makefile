@@ -41,8 +41,9 @@ bench-compact:
 		tee /dev/stderr | $(GO) run ./cmd/benchjson > BENCH_compact.json
 
 # fuzz runs the .bench and tester-program parser fuzzers, the job spec
-# decoder fuzzer, the checkpoint envelope fuzzer and the metrics-file
-# tail repair fuzzer for a short smoke interval each, as CI does.
+# and result-upload decoder fuzzers, the checkpoint envelope fuzzer and
+# the metrics-file tail repair fuzzer for a short smoke interval each,
+# as CI does.
 # Override with FUZZTIME=5m for a longer local run.
 FUZZTIME ?= 20s
 
@@ -50,6 +51,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzParse -fuzztime $(FUZZTIME) ./internal/bench
 	$(GO) test -fuzz=FuzzProgramParse -fuzztime $(FUZZTIME) ./internal/testprog
 	$(GO) test -fuzz=FuzzDecodeSpec -fuzztime $(FUZZTIME) ./internal/jobs
+	$(GO) test -fuzz=FuzzResultUpload -fuzztime $(FUZZTIME) ./internal/jobs
 	$(GO) test -fuzz=FuzzDecodeEnvelope -fuzztime $(FUZZTIME) ./internal/runctl
 	$(GO) test -fuzz=FuzzRepairTail -fuzztime $(FUZZTIME) ./internal/obs
 

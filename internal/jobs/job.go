@@ -522,22 +522,23 @@ func (j *job) assembleResultLocked() error {
 	return writeJSONFile(j.resultPath(), &res)
 }
 
-// persistStatusLocked writes job.json atomically (temp + rename), so a
-// crash mid-write can never leave a torn record for startup to choke
-// on.
+// persistStatusLocked writes job.json through runctl.WriteFile, so a
+// crash or a power loss never leaves a torn record for startup to
+// choke on. A failed write is logged, not returned: the in-memory
+// status stays authoritative and the next transition writes it again.
 func (j *job) persistStatusLocked() {
-	writeJSONFile(j.statusPath(), &j.status)
+	if err := writeJSONFile(j.statusPath(), &j.status); err != nil {
+		j.srv.logf("jobs: %s: persist status: %v", j.status.ID, err)
+	}
 }
 
-// writeJSONFile writes v as indented JSON through writeFileAtomic. The
-// write is not fsynced: a crash never tears the file, a power loss
-// still can.
+// writeJSONFile writes v as indented JSON through runctl.WriteFile.
 func writeJSONFile(path string, v any) error {
 	data, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
 		return err
 	}
-	return writeFileAtomic(path, append(data, '\n'), false)
+	return runctl.WriteFile(path, append(data, '\n'))
 }
 
 // readJSONFile decodes one JSON file into v.

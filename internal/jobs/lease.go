@@ -2,11 +2,12 @@ package jobs
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 	"time"
@@ -61,6 +62,19 @@ type leaseUpdate struct {
 type resultUpload struct {
 	Result     *taskResult `json:"result"`
 	Checkpoint []byte      `json:"checkpoint,omitempty"`
+}
+
+// decodeResultUpload decodes a result endpoint body. A body that does
+// not decode or carries no result is a *SpecError (HTTP 400).
+func decodeResultUpload(body io.Reader) (*resultUpload, error) {
+	var req resultUpload
+	if err := json.NewDecoder(body).Decode(&req); err != nil {
+		return nil, &SpecError{Field: "body", Reason: decodeReason(err)}
+	}
+	if req.Result == nil {
+		return nil, &SpecError{Field: "result", Reason: "missing"}
+	}
+	return &req, nil
 }
 
 // Assignment is a leased task's self-contained work order: everything a
@@ -260,7 +274,8 @@ func (s *Server) leaseTask(worker string, t *task, local bool) *Assignment {
 	if local {
 		a.ctx, a.rec = ctx, j.rec
 	}
-	j.persistStatusLocked()
+	// Started and running are not written to job.json: no restart reads
+	// them (loadExisting suspends the job, openLeg resets Started).
 	j.rec.Event("job", "task_claimed",
 		obs.F("task", ts.Name), obs.F("worker", worker), obs.F("lease", a.Lease))
 	return a
@@ -399,7 +414,6 @@ func (s *Server) requeueLocked(l *lease, event string) {
 	t.retried = true
 	j.rec.Event("job", event,
 		obs.F("task", ts.Name), obs.F("worker", l.worker), obs.F("lease", l.token))
-	j.persistStatusLocked()
 	if j.legClosed {
 		j.reportedLocked()
 		return
@@ -492,42 +506,11 @@ func (s *Server) WorkersView() []WorkerInfo {
 }
 
 // saveCheckpoint persists a worker's uploaded checkpoint bytes, if any,
-// as the task's task-N.ckpt. The write is durable: the bytes are the
-// task's only resumable state outside the worker.
+// as the task's task-N.ckpt: the bytes are the task's only resumable
+// state outside the worker.
 func (t *task) saveCheckpoint(ckpt []byte) error {
 	if len(ckpt) == 0 {
 		return nil
 	}
-	return writeFileAtomic(t.job.ckptPath(t.idx), ckpt, true)
-}
-
-// writeFileAtomic writes raw bytes via temp-file-plus-rename, so a
-// crash never leaves a torn file. A durable write also fsyncs the temp
-// file before the rename and the directory after it, so the new file
-// survives a power loss too.
-func writeFileAtomic(path string, data []byte, durable bool) error {
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	_, err = f.Write(data)
-	if err == nil && durable {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil || !durable {
-		return err
-	}
-	d, err := os.Open(filepath.Dir(path))
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	return d.Sync()
+	return runctl.WriteFile(t.job.ckptPath(t.idx), ckpt)
 }

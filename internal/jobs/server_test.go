@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -14,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/failpoint"
 	"repro/internal/obs"
 	"repro/internal/runctl"
 )
@@ -626,5 +628,88 @@ func TestReloadIgnoresRetiredSpecField(t *testing.T) {
 	}
 	if _, err := c.Result(context.Background(), id); err != nil {
 		t.Fatalf("result after reload: %v", err)
+	}
+}
+
+// TestCheckpointsSkipStrayTempFiles: a crash between a checkpoint's
+// temp-file write and its rename leaves task-0.ckpt.tmp… in the job
+// directory. Checkpoints lists only task-N.ckpt and task-N.result.json,
+// so the temp file is not listed and fetching it is a 404.
+func TestCheckpointsSkipStrayTempFiles(t *testing.T) {
+	s, c := testServer(t, Options{Workers: -1})
+	ctx := context.Background()
+	st, err := c.Submit(ctx, Spec{Flow: FlowSimulate, Circuits: []string{"s27"}, Seed: 2, SeqLen: 32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := c.Claim(ctx, "manual")
+	if err != nil || a == nil {
+		t.Fatalf("claim = %+v, %v", a, err)
+	}
+	if _, err := c.Heartbeat(ctx, a.Lease, []byte("checkpoint bytes")); err != nil {
+		t.Fatal(err)
+	}
+	s.mu.Lock()
+	stray := s.jobs[st.ID].ckptPath(0) + ".tmp123456"
+	s.mu.Unlock()
+	if err := os.WriteFile(stray, []byte("torn"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	names, err := c.Checkpoints(ctx, st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"task-0.ckpt"}; strings.Join(names, ",") != strings.Join(want, ",") {
+		t.Fatalf("Checkpoints = %v, want %v", names, want)
+	}
+	if data, err := c.Checkpoint(ctx, st.ID, "task-0.ckpt"); err != nil || string(data) != "checkpoint bytes" {
+		t.Fatalf("task-0.ckpt = %q, %v", data, err)
+	}
+	_, err = c.Checkpoint(ctx, st.ID, filepath.Base(stray))
+	var ae *APIError
+	if !errors.As(err, &ae) || ae.Code != http.StatusNotFound {
+		t.Fatalf("fetching %s: %v, want a 404", filepath.Base(stray), err)
+	}
+}
+
+// TestPersistStatusFailureLogged: a job.json write that fails is
+// logged, naming the job, and the in-memory status still serves. No
+// t.Parallel: failpoints are process-global.
+func TestPersistStatusFailureLogged(t *testing.T) {
+	var mu sync.Mutex
+	var logged []string
+	s, err := NewServer(Options{DataDir: t.TempDir(), Workers: -1, Logf: func(format string, args ...any) {
+		mu.Lock()
+		defer mu.Unlock()
+		logged = append(logged, fmt.Sprintf(format, args...))
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Drain)
+	defer failpoint.Disable()
+	if err := failpoint.Enable("runctl.store.rename=error", 1); err != nil {
+		t.Fatal(err)
+	}
+	sp := Spec{Flow: FlowSimulate, Circuits: []string{"s27"}, Seed: 2, SeqLen: 32}
+	st, err := s.Submit(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	failpoint.Disable()
+
+	mu.Lock()
+	lines := strings.Join(logged, "\n")
+	mu.Unlock()
+	if !strings.Contains(lines, st.ID) || !strings.Contains(lines, "job.json") {
+		t.Fatalf("log after a failed job.json write names neither %s nor job.json:\n%s", st.ID, lines)
+	}
+	got, err := s.Get(st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.ID != st.ID || got.State != StateQueued || len(got.Tasks) != 1 {
+		t.Fatalf("Get after a failed job.json write = %+v", got)
 	}
 }

@@ -124,7 +124,7 @@ func (w *Worker) runAssignment(ctx context.Context, a *Assignment) {
 	runctl.NewFileStore(path).Clear()
 	defer runctl.NewFileStore(path).Clear()
 	if len(a.Checkpoint) > 0 {
-		if err := os.WriteFile(path, a.Checkpoint, 0o644); err != nil {
+		if err := runctl.WriteFile(path, a.Checkpoint); err != nil {
 			w.logf("seed checkpoint: %v", err)
 			rctx, cancel := a.requestCtx()
 			defer cancel()

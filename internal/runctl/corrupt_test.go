@@ -278,3 +278,47 @@ func TestClearRemovesAllGenerations(t *testing.T) {
 		}
 	}
 }
+
+// TestWriteFileFailpoints fails WriteFile once at each of its failpoint
+// sites and tears its temp-file write: every failure is the injected
+// one, leaves no temp file, and leaves the target's old bytes in place,
+// except a failed directory fsync, which comes after the rename.
+func TestWriteFileFailpoints(t *testing.T) {
+	defer failpoint.Disable()
+	for _, tc := range []struct {
+		spec     string
+		replaced bool
+	}{
+		{"runctl.store.write=error@1", false},
+		{"runctl.store.write=partial:0.3@1", false},
+		{"runctl.store.sync=error@1", false},
+		{"runctl.store.rename=error@1", false},
+		{"runctl.store.dirsync=error@1", true},
+	} {
+		t.Run(tc.spec, func(t *testing.T) {
+			dir := t.TempDir()
+			path := filepath.Join(dir, "job.json")
+			if err := os.WriteFile(path, []byte("old bytes"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if err := failpoint.Enable(tc.spec, 1); err != nil {
+				t.Fatal(err)
+			}
+			err := WriteFile(path, []byte("the new bytes"))
+			failpoint.Disable()
+			if !failpoint.IsInjected(err) {
+				t.Fatalf("WriteFile = %v, want the injected error", err)
+			}
+			if tmps, _ := filepath.Glob(filepath.Join(dir, "*.tmp*")); len(tmps) != 0 {
+				t.Fatalf("temp files left behind: %v", tmps)
+			}
+			want := "old bytes"
+			if tc.replaced {
+				want = "the new bytes"
+			}
+			if got, err := os.ReadFile(path); err != nil || string(got) != want {
+				t.Fatalf("target holds %q (%v), want %q", got, err, want)
+			}
+		})
+	}
+}

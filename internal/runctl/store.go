@@ -36,8 +36,8 @@ const (
 	defaultBackoff = 2 * time.Millisecond
 )
 
-// Failpoint sites on the FileStore I/O path (armed only under
-// internal/failpoint; production cost is one atomic nil load each).
+// Failpoint sites on the FileStore and WriteFile I/O paths (armed only
+// under internal/failpoint; production cost is one atomic nil load each).
 const (
 	fpStoreRead    = "runctl.store.read"
 	fpStoreWrite   = "runctl.store.write"
@@ -48,11 +48,11 @@ const (
 )
 
 // FileStore is a Store backed by one framed, checksummed file (see
-// envelope.go). Every Save rewrites the file through a fsynced
-// temp-file-plus-rename in the same directory followed by a directory
-// fsync, so a crash — or a power loss — can never leave a torn
-// checkpoint: the file always holds either the previous or the new
-// complete state, and the rename is durable.
+// envelope.go). Every Save rewrites the file the way WriteFile does
+// (fsynced temp file, rename, directory fsync), so a crash — or a
+// power loss — can never leave a torn checkpoint: the file always
+// holds either the previous or the new complete state, and the rename
+// is durable.
 //
 // Saves keep one previous generation: before publishing, the current
 // file is rotated to path+".1". If the primary is later found corrupt
@@ -236,57 +236,78 @@ func (f *FileStore) Save(section string, v any) error {
 	return f.withRetry("write checkpoint", func() error { return f.publish(data) })
 }
 
-// publish writes data next to the target, fsyncs it, rotates the
-// current generation aside, renames the temp file into place and
-// fsyncs the directory — the full crash-durable write path.
+// publish writes data the way WriteFile does, rotating the current
+// generation aside once the new bytes are fsynced in their temp file,
+// just before they are renamed into place.
 func (f *FileStore) publish(data []byte) error {
-	dir := filepath.Dir(f.path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(f.path)+".tmp*")
+	return writeFile(f.path, data, func() error {
+		if f.primaryBad {
+			// Never rotate a corrupt primary over the good previous
+			// generation — park it for post-mortem instead.
+			if err := os.Rename(f.path, f.quarantinePath()); err == nil {
+				f.logf("quarantined corrupt checkpoint as %s", f.quarantinePath())
+			}
+			f.primaryBad = false
+		} else if _, err := os.Stat(f.path); err == nil {
+			if err := failpoint.Inject(fpStoreRotate); err != nil {
+				return fmt.Errorf("runctl: rotate checkpoint: %w", err)
+			}
+			if err := os.Rename(f.path, f.backupPath()); err != nil {
+				return fmt.Errorf("runctl: rotate checkpoint: %w", err)
+			}
+		}
+		return nil
+	})
+}
+
+// WriteFile replaces the file at path with data crash-safely: data goes
+// to a temp file in path's directory, which is fsynced and renamed over
+// path, and then the directory is fsynced, so a crash or a power loss
+// leaves path whole, old or new. A failed call leaves no temp file. It
+// does not retry, and it passes the runctl.store.write, sync, rename
+// and dirsync failpoint sites, as FileStore.Save does.
+func WriteFile(path string, data []byte) error { return writeFile(path, data, nil) }
+
+// writeFile is WriteFile with a hook that runs once the temp file is
+// fsynced, just before it is renamed into place.
+func writeFile(path string, data []byte, beforeRename func() error) error {
+	dir := filepath.Dir(path)
+	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
 	if err != nil {
-		return fmt.Errorf("runctl: write checkpoint: %w", err)
+		return fmt.Errorf("runctl: write %s: %w", path, err)
 	}
 	defer os.Remove(tmp.Name()) // no-op after a successful rename
 	if _, err := failpoint.InjectWrite(fpStoreWrite, tmp, data); err != nil {
 		tmp.Close()
-		return fmt.Errorf("runctl: write checkpoint: %w", err)
+		return fmt.Errorf("runctl: write %s: %w", path, err)
 	}
 	if err := failpoint.Inject(fpStoreSync); err != nil {
 		tmp.Close()
-		return fmt.Errorf("runctl: sync checkpoint: %w", err)
+		return fmt.Errorf("runctl: sync %s: %w", path, err)
 	}
 	if err := tmp.Sync(); err != nil {
 		tmp.Close()
-		return fmt.Errorf("runctl: sync checkpoint: %w", err)
+		return fmt.Errorf("runctl: sync %s: %w", path, err)
 	}
 	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("runctl: close checkpoint: %w", err)
+		return fmt.Errorf("runctl: close %s: %w", path, err)
 	}
-	if f.primaryBad {
-		// Never rotate a corrupt primary over the good previous
-		// generation — park it for post-mortem instead.
-		if err := os.Rename(f.path, f.quarantinePath()); err == nil {
-			f.logf("quarantined corrupt checkpoint as %s", f.quarantinePath())
-		}
-		f.primaryBad = false
-	} else if _, err := os.Stat(f.path); err == nil {
-		if err := failpoint.Inject(fpStoreRotate); err != nil {
-			return fmt.Errorf("runctl: rotate checkpoint: %w", err)
-		}
-		if err := os.Rename(f.path, f.backupPath()); err != nil {
-			return fmt.Errorf("runctl: rotate checkpoint: %w", err)
+	if beforeRename != nil {
+		if err := beforeRename(); err != nil {
+			return err
 		}
 	}
 	if err := failpoint.Inject(fpStoreRename); err != nil {
-		return fmt.Errorf("runctl: publish checkpoint: %w", err)
+		return fmt.Errorf("runctl: rename %s: %w", path, err)
 	}
-	if err := os.Rename(tmp.Name(), f.path); err != nil {
-		return fmt.Errorf("runctl: publish checkpoint: %w", err)
+	if err := os.Rename(tmp.Name(), path); err != nil {
+		return fmt.Errorf("runctl: rename %s: %w", path, err)
 	}
 	if err := failpoint.Inject(fpStoreDirSync); err != nil {
-		return fmt.Errorf("runctl: sync checkpoint directory: %w", err)
+		return fmt.Errorf("runctl: sync directory of %s: %w", path, err)
 	}
 	if err := syncDir(dir); err != nil {
-		return fmt.Errorf("runctl: sync checkpoint directory: %w", err)
+		return fmt.Errorf("runctl: sync directory of %s: %w", path, err)
 	}
 	return nil
 }
