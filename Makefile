@@ -40,17 +40,17 @@ bench-compact:
 		-benchmem -benchtime $(BENCHTIME) ./internal/compact/ | \
 		tee /dev/stderr | $(GO) run ./cmd/benchjson > BENCH_compact.json
 
-# fuzz runs the .bench and tester-program parser fuzzers, the job spec
-# and result-upload decoder fuzzers, the checkpoint envelope fuzzer and
-# the metrics-file tail repair fuzzer for a short smoke interval each,
-# as CI does.
+# fuzz runs the .bench parser fuzzer, the job spec, worker-body and
+# result-upload decoder fuzzers, the checkpoint envelope fuzzer and the
+# metrics-file tail repair fuzzer for a short smoke interval each, as
+# CI does.
 # Override with FUZZTIME=5m for a longer local run.
 FUZZTIME ?= 20s
 
 fuzz:
 	$(GO) test -fuzz=FuzzParse -fuzztime $(FUZZTIME) ./internal/bench
-	$(GO) test -fuzz=FuzzProgramParse -fuzztime $(FUZZTIME) ./internal/testprog
 	$(GO) test -fuzz=FuzzDecodeSpec -fuzztime $(FUZZTIME) ./internal/jobs
+	$(GO) test -fuzz=FuzzWorkerBodies -fuzztime $(FUZZTIME) ./internal/jobs
 	$(GO) test -fuzz=FuzzResultUpload -fuzztime $(FUZZTIME) ./internal/jobs
 	$(GO) test -fuzz=FuzzDecodeEnvelope -fuzztime $(FUZZTIME) ./internal/runctl
 	$(GO) test -fuzz=FuzzRepairTail -fuzztime $(FUZZTIME) ./internal/obs

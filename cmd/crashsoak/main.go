@@ -69,12 +69,18 @@ func main() {
 	flow := flag.String("flow", "", "child: flow to run (generate|restore|omit)")
 	dir := flag.String("dir", "", "child: working directory for checkpoint/metrics/output files")
 	resume := flag.Bool("resume", false, "child: resume from the checkpoint in -dir")
+	failpoints := flag.String("failpoints", "", "child: arm fault-injection sites (see internal/failpoint)")
 	iters := flag.Int("iters", 200, "soak iterations (one kill/resume cycle each)")
 	seed := flag.Int64("seed", 1, "RNG seed for the kill schedule")
 	verbose := flag.Bool("v", false, "log every leg")
 	flag.Parse()
 
 	if *child {
+		if *failpoints != "" {
+			if err := failpoint.Enable(*failpoints); err != nil {
+				os.Exit(fail(err))
+			}
+		}
 		os.Exit(runChild(*flow, *dir, *resume))
 	}
 	os.Exit(runParent(*iters, *seed, *verbose))
@@ -89,8 +95,7 @@ func fail(err error) int {
 
 // runChild executes one leg of a flow against the checkpoint store and
 // metrics file in dir, writing the flow's deterministic output to
-// dir/out. Failpoints arrive via SCANATPG_FAILPOINTS in the
-// environment (parsed by the failpoint package before main). An
+// dir/out. Failpoints arrive armed from the -failpoints flag. An
 // injected torn metrics append is promoted to the kill exit code: the
 // file is left exactly as a crash mid-append would leave it.
 func runChild(flow, dir string, resume bool) int {
@@ -172,9 +177,11 @@ func spawn(exe, flow, dir, spec string, resume bool, verbose bool) (int, error) 
 	if resume {
 		args = append(args, "-resume")
 	}
+	if spec != "" {
+		args = append(args, "-failpoints", spec)
+	}
 	cmd := exec.Command(exe, args...)
 	cmd.Stderr = os.Stderr
-	cmd.Env = append(os.Environ(), failpoint.EnvSpec+"="+spec)
 	if verbose {
 		fmt.Fprintf(os.Stderr, "crashsoak: %s resume=%v spec=%q\n", flow, resume, spec)
 	}

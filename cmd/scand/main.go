@@ -67,7 +67,7 @@ func main() {
 	logger := log.New(os.Stderr, "scand: ", log.LstdFlags)
 
 	if *failpoints != "" {
-		if err := failpoint.Enable(*failpoints, 1); err != nil {
+		if err := failpoint.Enable(*failpoints); err != nil {
 			logger.Fatal(err)
 		}
 	}

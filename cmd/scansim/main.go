@@ -48,22 +48,11 @@ func main() {
 		verify     = flag.Bool("verify", false, "validate the sequence's structure (width, fully specified)")
 		trans      = flag.Bool("transition", false, "also grade the sequence for gross-delay transition faults")
 		workers    = flag.Int("workers", 0, "fault-simulation worker count (0 = all cores; results are identical for every value)")
-		kernel     = flag.String("kernel", "event", "fault-simulation kernel: event or full (results are identical)")
 	)
 	rc := runctl.RegisterFlags("scansim")
 	oc := obs.RegisterFlags("scansim")
 	pf := prof.Register()
 	flag.Parse()
-	var simOpts sim.Options
-	switch *kernel {
-	case "event":
-		simOpts.Kernel = sim.KernelEvent
-	case "full":
-		simOpts.Kernel = sim.KernelFull
-	default:
-		fmt.Fprintf(os.Stderr, "scansim: unknown -kernel %q (want event or full)\n", *kernel)
-		os.Exit(2)
-	}
 	if err := pf.Start(); err != nil {
 		fail(err)
 	}
@@ -159,8 +148,7 @@ func main() {
 	}
 	sm := sim.NewSimulator(sc.Scan, *workers)
 	sm.Observe(ort.Observer())
-	simOpts.Control = ctl
-	res := sm.Run(seq, faults, simOpts)
+	res := sm.Run(seq, faults, sim.Options{Control: ctl})
 	if res.Err != nil {
 		fail(res.Err)
 	}

@@ -56,7 +56,7 @@ func main() {
 	logger := log.New(os.Stderr, "scanworker["+*name+"]: ", log.LstdFlags)
 
 	if *failpoints != "" {
-		if err := failpoint.Enable(*failpoints, 1); err != nil {
+		if err := failpoint.Enable(*failpoints); err != nil {
 			logger.Fatal(err)
 		}
 	}

@@ -2,8 +2,8 @@
 // crash and error-path testing. Code under test declares named sites
 // (`failpoint.Inject("runctl.store.rename")`); a test or operator arms
 // a subset of them with a spec string, choosing an action (return an
-// error, panic, kill the process, delay, or tear a write) and a
-// trigger (every hit, the N-th hit, or a seeded probability per hit).
+// error, panic, kill the process, or tear a write) and a trigger
+// (every hit, or exactly the N-th hit).
 //
 // The registry is built for two properties:
 //
@@ -11,47 +11,30 @@
 //     atomic pointer; with nothing armed every site costs a single nil
 //     load, so production binaries pay nothing for carrying the sites.
 //
-//   - Determinism. Probability triggers are a pure function of
-//     (seed, site name, hit index), so a failing schedule replays
-//     exactly from the same spec and seed — no global RNG, no races
-//     between sites.
+//   - Determinism. A site fires on a hit index it counts itself, so a
+//     failing schedule replays exactly from the same spec.
 //
 // Spec grammar (terms joined by ';'):
 //
-//	site=action[:arg][@hit][%prob][#limit]
-//	seed=N
+//	site=action[:arg][@hit]
 //
-// Actions: error | panic | kill | delay:DURATION | partial[:FRACTION].
-// `@hit` fires on exactly the N-th hit (1-based) and implies a limit of
-// one unless `#limit` says otherwise; `%prob` fires each hit with the
-// given probability; with neither, every hit fires. `#limit` caps the
-// total number of fires. Example:
+// Actions: error | panic | kill | partial[:FRACTION]. `@hit` fires on
+// exactly the N-th hit (1-based); without it, every hit fires. Example:
 //
-//	runctl.store.rename=kill@3;obs.recorder.append=partial:0.5%0.01#2
+//	runctl.store.rename=kill@3;obs.recorder.append=partial:0.5@2
 //
-// Arming happens through Enable (tests, flags) or the
-// SCANATPG_FAILPOINTS environment variable (child processes of the
-// crash-soak harness), with SCANATPG_FAILPOINT_SEED overriding the
-// seed.
+// Arming happens through Enable, which the commands call with their
+// -failpoints flag.
 package failpoint
 
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"os"
 	"strconv"
 	"strings"
 	"sync/atomic"
-	"time"
-)
-
-// EnvSpec and EnvSeed are the environment variables read at process
-// start; a non-empty EnvSpec arms the registry before main runs.
-const (
-	EnvSpec = "SCANATPG_FAILPOINTS"
-	EnvSeed = "SCANATPG_FAILPOINT_SEED"
 )
 
 // KillExitCode is the exit status of the kill action. It mirrors the
@@ -81,41 +64,20 @@ const (
 	actError action = iota
 	actPanic
 	actKill
-	actDelay
 	actPartial
 )
 
-func (a action) String() string {
-	switch a {
-	case actError:
-		return "error"
-	case actPanic:
-		return "panic"
-	case actKill:
-		return "kill"
-	case actDelay:
-		return "delay"
-	case actPartial:
-		return "partial"
-	}
-	return "?"
-}
-
 type site struct {
-	name  string
-	act   action
-	prob  float64       // probability per hit; <0 = not probability-triggered
-	at    uint64        // fire on exactly this hit (1-based); 0 = any hit
-	limit int64         // max fires; <0 = unlimited
-	delay time.Duration // delay action
-	frac  float64       // partial action: fraction of the write to let through
+	name string
+	act  action
+	at   uint64  // fire on exactly this hit (1-based); 0 = any hit
+	frac float64 // partial action: fraction of the write to let through
 
 	hits  atomic.Uint64
 	fires atomic.Int64
 }
 
 type registry struct {
-	seed  uint64
 	sites map[string]*site
 }
 
@@ -127,33 +89,10 @@ var active atomic.Pointer[registry]
 // exitFn is swapped out by tests of the kill action.
 var exitFn = os.Exit
 
-func init() {
-	spec := os.Getenv(EnvSpec)
-	if spec == "" {
-		return
-	}
-	seed := uint64(1)
-	if s := os.Getenv(EnvSeed); s != "" {
-		n, err := strconv.ParseUint(s, 10, 64)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "failpoint: bad %s=%q: %v\n", EnvSeed, s, err)
-			exitFn(2)
-		}
-		seed = n
-	}
-	if err := Enable(spec, seed); err != nil {
-		fmt.Fprintf(os.Stderr, "failpoint: bad %s: %v\n", EnvSpec, err)
-		exitFn(2)
-	}
-}
-
-// Enabled reports whether any sites are armed.
-func Enabled() bool { return active.Load() != nil }
-
 // Enable parses spec and arms the registry, replacing any previous
 // arming. Hit and fire counters start from zero.
-func Enable(spec string, seed uint64) error {
-	r := &registry{seed: seed, sites: make(map[string]*site)}
+func Enable(spec string) error {
+	r := &registry{sites: make(map[string]*site)}
 	for _, term := range strings.Split(spec, ";") {
 		term = strings.TrimSpace(term)
 		if term == "" {
@@ -164,14 +103,6 @@ func Enable(spec string, seed uint64) error {
 			return fmt.Errorf("failpoint: term %q is not site=action", term)
 		}
 		name = strings.TrimSpace(name)
-		if name == "seed" {
-			n, err := strconv.ParseUint(strings.TrimSpace(value), 10, 64)
-			if err != nil {
-				return fmt.Errorf("failpoint: bad seed %q: %v", value, err)
-			}
-			r.seed = n
-			continue
-		}
 		s, err := parseSite(name, strings.TrimSpace(value))
 		if err != nil {
 			return err
@@ -188,40 +119,16 @@ func Enable(spec string, seed uint64) error {
 // Disable disarms all sites.
 func Disable() { active.Store(nil) }
 
-// parseSite parses "action[:arg][@hit][%prob][#limit]".
+// parseSite parses "action[:arg][@hit]".
 func parseSite(name, value string) (*site, error) {
-	s := &site{name: name, prob: -1, limit: -1, frac: 0.5}
-	// Strip trailing modifiers; they may appear in any order.
-	for {
-		i := strings.LastIndexAny(value, "@%#")
-		if i < 0 {
-			break
+	s := &site{name: name, frac: 0.5}
+	value, hit, ok := strings.Cut(value, "@")
+	if ok {
+		n, err := strconv.ParseUint(hit, 10, 64)
+		if err != nil || n == 0 {
+			return nil, fmt.Errorf("failpoint: %s: bad @hit %q", name, hit)
 		}
-		mod, arg := value[i], value[i+1:]
-		value = value[:i]
-		switch mod {
-		case '@':
-			n, err := strconv.ParseUint(arg, 10, 64)
-			if err != nil || n == 0 {
-				return nil, fmt.Errorf("failpoint: %s: bad @hit %q", name, arg)
-			}
-			s.at = n
-		case '%':
-			p, err := strconv.ParseFloat(arg, 64)
-			if err != nil || p < 0 || p > 1 {
-				return nil, fmt.Errorf("failpoint: %s: bad %%prob %q", name, arg)
-			}
-			s.prob = p
-		case '#':
-			n, err := strconv.ParseInt(arg, 10, 64)
-			if err != nil || n <= 0 {
-				return nil, fmt.Errorf("failpoint: %s: bad #limit %q", name, arg)
-			}
-			s.limit = n
-		}
-	}
-	if s.at != 0 && s.limit < 0 {
-		s.limit = 1 // @hit means "that one hit" unless a limit widens it
+		s.at = n
 	}
 	act, arg, _ := strings.Cut(value, ":")
 	switch act {
@@ -231,13 +138,6 @@ func parseSite(name, value string) (*site, error) {
 		s.act = actPanic
 	case "kill":
 		s.act = actKill
-	case "delay":
-		s.act = actDelay
-		d, err := time.ParseDuration(arg)
-		if err != nil {
-			return nil, fmt.Errorf("failpoint: %s: bad delay %q", name, arg)
-		}
-		s.delay = d
 	case "partial":
 		s.act = actPartial
 		if arg != "" {
@@ -281,26 +181,12 @@ func Fired(name string) int64 {
 // trigger decides whether hit n (1-based) fires, and performs the
 // non-returning actions. It returns the injected error for the error
 // and partial actions (the caller of a partial site tears the write).
-func (s *site) trigger(seed uint64, n uint64) error {
+func (s *site) trigger(n uint64) error {
 	if s.at != 0 && n != s.at {
 		return nil
 	}
-	if s.prob >= 0 && !decide(seed, s.name, n, s.prob) {
-		return nil
-	}
-	if s.limit >= 0 {
-		// Reserve a fire slot; back out when over the cap.
-		if s.fires.Add(1) > s.limit {
-			s.fires.Add(-1)
-			return nil
-		}
-	} else {
-		s.fires.Add(1)
-	}
+	s.fires.Add(1)
 	switch s.act {
-	case actDelay:
-		time.Sleep(s.delay)
-		return nil
 	case actPanic:
 		panic(&Error{Site: s.name, Hit: n})
 	case actKill:
@@ -311,26 +197,10 @@ func (s *site) trigger(seed uint64, n uint64) error {
 	}
 }
 
-// decide is the pure probability trigger: splitmix64 over
-// seed ⊕ hash(site) ⊕ hit compared against p.
-func decide(seed uint64, name string, n uint64, p float64) bool {
-	h := fnv.New64a()
-	io.WriteString(h, name)
-	x := seed ^ h.Sum64() ^ (n * 0x9e3779b97f4a7c15)
-	// splitmix64 finalizer
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return float64(x>>11)/(1<<53) < p
-}
-
 // Inject evaluates the named site. With the registry disabled or the
 // site not armed it returns nil after a single atomic load. A fired
 // error or partial site returns *Error; a fired panic site panics with
-// *Error; a fired kill site exits the process with KillExitCode; a
-// fired delay site sleeps and returns nil.
+// *Error; a fired kill site exits the process with KillExitCode.
 func Inject(name string) error {
 	r := active.Load()
 	if r == nil {
@@ -340,7 +210,7 @@ func Inject(name string) error {
 	if !ok {
 		return nil
 	}
-	return s.trigger(r.seed, s.hits.Add(1))
+	return s.trigger(s.hits.Add(1))
 }
 
 // InjectWrite performs w.Write(p) with the named site interposed. A
@@ -357,7 +227,7 @@ func InjectWrite(name string, w io.Writer, p []byte) (int, error) {
 	if !ok {
 		return w.Write(p)
 	}
-	err := s.trigger(r.seed, s.hits.Add(1))
+	err := s.trigger(s.hits.Add(1))
 	if err == nil {
 		return w.Write(p)
 	}

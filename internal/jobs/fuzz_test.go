@@ -1,6 +1,7 @@
 package jobs
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"reflect"
@@ -58,6 +59,61 @@ func FuzzDecodeSpec(f *testing.F) {
 			t.Fatalf("round trip changed the spec\ninput: %q\nfirst:  %+v\nsecond: %+v", body, sp, again)
 		}
 	})
+}
+
+// FuzzWorkerBodies feeds arbitrary bodies to the claim and the
+// heartbeat/release decoders: neither may panic, every rejection must
+// be a *SpecError, and an accepted body must re-encode and decode to an
+// equal value.
+func FuzzWorkerBodies(f *testing.F) {
+	for _, v := range []any{claimRequest{Worker: "w1"}, leaseUpdate{}, leaseUpdate{Checkpoint: []byte("ckpt")}} {
+		b, err := json.Marshal(v)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(string(b))
+	}
+	for _, body := range []string{
+		``,
+		`{"worker":"w1","wroker":"x"}`,
+		`{"worker":"w2"} junk`,
+		`{"worker":"w3"}}`,
+		`{"checkpoint":""}`,
+		`{"checkpoint":"not base64"}`,
+	} {
+		f.Add(body)
+	}
+	f.Fuzz(func(t *testing.T, body string) {
+		var claim, claimAgain claimRequest
+		if roundTripBody(t, body, &claim, &claimAgain) && claim != claimAgain {
+			t.Fatalf("claim round trip of %q: %+v, then %+v", body, claim, claimAgain)
+		}
+		// An empty checkpoint re-encodes as none; both mean "no
+		// checkpoint" to saveCheckpoint.
+		var upd, updAgain leaseUpdate
+		if roundTripBody(t, body, &upd, &updAgain) && !bytes.Equal(upd.Checkpoint, updAgain.Checkpoint) {
+			t.Fatalf("heartbeat/release round trip of %q: %q, then %q", body, upd.Checkpoint, updAgain.Checkpoint)
+		}
+	})
+}
+
+// roundTripBody decodes body into v. A rejection must be a *SpecError;
+// an accepted v is re-encoded and decoded into again, which must
+// succeed, and roundTripBody reports true.
+func roundTripBody(t *testing.T, body string, v, again any) bool {
+	t.Helper()
+	if err := decodeBody(strings.NewReader(body), v); err != nil {
+		requireSpecError(t, body, err)
+		return false
+	}
+	b, err := json.Marshal(v)
+	if err != nil {
+		t.Fatalf("re-encoding the body %q: %v", body, err)
+	}
+	if err := decodeBody(bytes.NewReader(b), again); err != nil {
+		t.Fatalf("re-decoding %s (from %q): %v", b, body, err)
+	}
+	return true
 }
 
 // FuzzResultUpload feeds arbitrary bodies to the result endpoint's

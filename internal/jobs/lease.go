@@ -2,7 +2,6 @@ package jobs
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -68,8 +67,8 @@ type resultUpload struct {
 // not decode or carries no result is a *SpecError (HTTP 400).
 func decodeResultUpload(body io.Reader) (*resultUpload, error) {
 	var req resultUpload
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		return nil, &SpecError{Field: "body", Reason: decodeReason(err)}
+	if err := decodeBody(body, &req); err != nil {
+		return nil, err
 	}
 	if req.Result == nil {
 		return nil, &SpecError{Field: "result", Reason: "missing"}

@@ -109,6 +109,37 @@ func TestWorkerClaimProtocol(t *testing.T) {
 	}
 }
 
+// TestClaimRejectsMalformedBody: a claim body with an unknown field or
+// trailing data gets a 400 and leases nothing, so the task stays
+// claimable by a well-formed claim.
+func TestClaimRejectsMalformedBody(t *testing.T) {
+	_, c := testServer(t, Options{Workers: -1})
+	ctx := context.Background()
+	if _, err := c.Submit(ctx, Spec{Flow: FlowGenerate, Circuits: []string{"s27"}, Seed: 3}); err != nil {
+		t.Fatal(err)
+	}
+	for _, body := range []string{
+		`{"worker":"w1","wroker":"x"}`,
+		`{"worker":"w2"} junk`,
+		`{"worker":"w3"}}`,
+	} {
+		resp, err := c.HTTP.Post(c.Base+"/v1/worker/claim", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("claim %s: status %d, want 400", body, resp.StatusCode)
+		}
+	}
+	if workers, err := c.Workers(ctx); err != nil || len(workers) != 0 {
+		t.Fatalf("leases after rejected claims = %+v, %v", workers, err)
+	}
+	if a, err := c.Claim(ctx, "w4"); err != nil || a == nil {
+		t.Fatalf("well-formed claim = %+v, %v, want the task", a, err)
+	}
+}
+
 // TestLeaseLifecycle drives the claim API directly: a claim shows up in
 // the workers view, heartbeats renew it, completion consumes it, and
 // every later touch of the token gets ErrLeaseGone (HTTP 410 over the

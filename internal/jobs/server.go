@@ -563,8 +563,8 @@ func (s *Server) Handler() http.Handler {
 	})
 	mux.HandleFunc("POST /v1/worker/claim", func(w http.ResponseWriter, r *http.Request) {
 		var req claimRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			httpError(w, &SpecError{Field: "body", Reason: decodeReason(err)})
+		if err := decodeBody(r.Body, &req); err != nil {
+			httpError(w, err)
 			return
 		}
 		a, err := s.ClaimTask(req.Worker)
@@ -580,8 +580,8 @@ func (s *Server) Handler() http.Handler {
 	})
 	mux.HandleFunc("POST /v1/worker/claims/{token}/heartbeat", func(w http.ResponseWriter, r *http.Request) {
 		var req leaseUpdate
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			httpError(w, &SpecError{Field: "body", Reason: decodeReason(err)})
+		if err := decodeBody(r.Body, &req); err != nil {
+			httpError(w, err)
 			return
 		}
 		ttl, err := s.HeartbeatLease(r.PathValue("token"), req.Checkpoint)
@@ -604,8 +604,8 @@ func (s *Server) Handler() http.Handler {
 	})
 	mux.HandleFunc("POST /v1/worker/claims/{token}/release", func(w http.ResponseWriter, r *http.Request) {
 		var req leaseUpdate
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			httpError(w, &SpecError{Field: "body", Reason: decodeReason(err)})
+		if err := decodeBody(r.Body, &req); err != nil {
+			httpError(w, err)
 			return
 		}
 		if err := s.ReleaseLease(r.PathValue("token"), req.Checkpoint); err != nil {

@@ -689,7 +689,7 @@ func TestPersistStatusFailureLogged(t *testing.T) {
 	}
 	t.Cleanup(s.Drain)
 	defer failpoint.Disable()
-	if err := failpoint.Enable("runctl.store.rename=error", 1); err != nil {
+	if err := failpoint.Enable("runctl.store.rename=error"); err != nil {
 		t.Fatal(err)
 	}
 	sp := Spec{Flow: FlowSimulate, Circuits: []string{"s27"}, Seed: 2, SeqLen: 32}

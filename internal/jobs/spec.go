@@ -201,19 +201,13 @@ func (s *Spec) Validate() error {
 	return nil
 }
 
-// DecodeSpec decodes one JSON spec from r strictly: unknown fields,
-// malformed JSON and trailing garbage are all *SpecError, and the
-// decoded spec is validated. This is the only decode path the server
-// accepts submissions through.
+// DecodeSpec decodes one JSON spec from r strictly (decodeBody) and
+// validates it. This is the only decode path the server accepts
+// submissions through.
 func DecodeSpec(r io.Reader) (Spec, error) {
 	var s Spec
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&s); err != nil {
-		return Spec{}, &SpecError{Field: "body", Reason: decodeReason(err)}
-	}
-	if dec.More() {
-		return Spec{}, &SpecError{Field: "body", Reason: "trailing data after the spec object"}
+	if err := decodeBody(r, &s); err != nil {
+		return Spec{}, err
 	}
 	if err := s.Validate(); err != nil {
 		return Spec{}, err
@@ -221,12 +215,24 @@ func DecodeSpec(r io.Reader) (Spec, error) {
 	return s, nil
 }
 
-// decodeReason phrases a json decode error for a 400 body.
-func decodeReason(err error) string {
-	if errors.Is(err, io.EOF) {
-		return "empty body"
+// decodeBody decodes one JSON request body from r into v strictly: an
+// empty body, malformed JSON, unknown fields and anything but
+// whitespace after the value are all *SpecError (HTTP 400). Every POST
+// body the server reads goes through it.
+func decodeBody(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		reason := err.Error()
+		if errors.Is(err, io.EOF) {
+			reason = "empty body"
+		}
+		return &SpecError{Field: "body", Reason: reason}
 	}
-	return err.Error()
+	if _, err := dec.Token(); !errors.Is(err, io.EOF) {
+		return &SpecError{Field: "body", Reason: "trailing data after the JSON value"}
+	}
+	return nil
 }
 
 // seed returns the effective seed (0 defaults to 1, matching the CLIs).

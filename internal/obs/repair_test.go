@@ -105,7 +105,7 @@ func TestResumeAfterTornAppendValidates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := failpoint.Enable("obs.recorder.append=partial:0.6@3", 1); err != nil {
+	if err := failpoint.Enable("obs.recorder.append=partial:0.6@3"); err != nil {
 		t.Fatal(err)
 	}
 	r1 := NewRecorder(f, RecorderOptions{Program: "leg1", SnapshotEvery: -1})

@@ -50,7 +50,7 @@ func RegisterFlags(program string) *CLI {
 // a partial report); a second signal exits immediately with status 130.
 func (c *CLI) Build() (*Control, error) {
 	if c.Failpoints != "" {
-		if err := failpoint.Enable(c.Failpoints, 1); err != nil {
+		if err := failpoint.Enable(c.Failpoints); err != nil {
 			return nil, err
 		}
 	}

@@ -45,20 +45,9 @@ func TestEnvelopeRoundTrip(t *testing.T) {
 	}
 }
 
-// v1Checkpoint is a checkpoint in the legacy bare-JSON format.
+// v1Checkpoint is a checkpoint in the bare-JSON format of earlier
+// releases, which the store no longer reads.
 const v1Checkpoint = `{"format":"scanatpg-checkpoint/v1","sections":{"sec":{"n":7,"s":"old"}}}`
-
-func TestLegacyV1StillReadable(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "old.ckpt")
-	if err := os.WriteFile(path, []byte(v1Checkpoint), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var got ckPayload
-	ok, err := NewFileStore(path).Load("sec", &got)
-	if err != nil || !ok || got.N != 7 {
-		t.Fatalf("v1 Load = (%v, %v), got %+v", ok, err, got)
-	}
-}
 
 func corruptKindOf(t *testing.T, err error) CorruptKind {
 	t.Helper()
@@ -89,10 +78,11 @@ var corruptionCases = []struct {
 	{"trailing garbage", func(d []byte) []byte { return append(d, []byte("extra")...) }, CorruptFraming},
 	{"header torn mid-line", func(d []byte) []byte { return d[:10] }, CorruptFraming},
 	{"empty file", func(d []byte) []byte { return nil }, CorruptHeader},
-	{"v1 syntax error", func(d []byte) []byte { return []byte("{not json") }, CorruptSection},
+	{"v1 syntax error", func(d []byte) []byte { return []byte("{not json") }, CorruptHeader},
 	{"v1 foreign format", func(d []byte) []byte {
 		return []byte(`{"format":"other-tool/v3","sections":{}}`)
-	}, CorruptVersion},
+	}, CorruptHeader},
+	{"v1 checkpoint", func(d []byte) []byte { return []byte(v1Checkpoint) }, CorruptHeader},
 }
 
 func TestCorruptionClassesAreTyped(t *testing.T) {
@@ -208,7 +198,7 @@ func TestBothGenerationsCorruptIsTypedThenSaveRecovers(t *testing.T) {
 func TestSaveRetriesTransientInjectedErrors(t *testing.T) {
 	defer failpoint.Disable()
 	fs := newStoreWithSaves(t, 0)
-	if err := failpoint.Enable("runctl.store.sync=error@1#1", 1); err != nil {
+	if err := failpoint.Enable("runctl.store.sync=error@1"); err != nil {
 		t.Fatal(err)
 	}
 	if err := fs.Save("sec", ckPayload{N: 1}); err != nil {
@@ -226,7 +216,7 @@ func TestSaveRetriesTransientInjectedErrors(t *testing.T) {
 func TestSaveReportsPersistentErrors(t *testing.T) {
 	defer failpoint.Disable()
 	fs := newStoreWithSaves(t, 0)
-	if err := failpoint.Enable("runctl.store.write=error", 1); err != nil {
+	if err := failpoint.Enable("runctl.store.write=error"); err != nil {
 		t.Fatal(err)
 	}
 	err := fs.Save("sec", ckPayload{N: 1})
@@ -242,7 +232,7 @@ func TestTornTempWriteRetriesCleanly(t *testing.T) {
 	defer failpoint.Disable()
 	fs := newStoreWithSaves(t, 1)
 	// Tear the temp-file write once; the retry writes a fresh temp file.
-	if err := failpoint.Enable("runctl.store.write=partial:0.3@1", 1); err != nil {
+	if err := failpoint.Enable("runctl.store.write=partial:0.3@1"); err != nil {
 		t.Fatal(err)
 	}
 	if err := fs.Save("sec", ckPayload{N: 2}); err != nil {
@@ -301,7 +291,7 @@ func TestWriteFileFailpoints(t *testing.T) {
 			if err := os.WriteFile(path, []byte("old bytes"), 0o644); err != nil {
 				t.Fatal(err)
 			}
-			if err := failpoint.Enable(tc.spec, 1); err != nil {
+			if err := failpoint.Enable(tc.spec); err != nil {
 				t.Fatal(err)
 			}
 			err := WriteFile(path, []byte("the new bytes"))

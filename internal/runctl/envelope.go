@@ -9,22 +9,20 @@ import (
 	"strings"
 )
 
-// Checkpoint file formats. v2 frames the JSON payload behind a header
+// Checkpoint file format. v2 frames the JSON payload behind a header
 // line carrying an exact length and a CRC32, so truncation, torn
 // writes and bit rot are detected instead of surfacing as JSON syntax
-// noise (or worse, parsing successfully). v1 files — the bare JSON
-// envelope of earlier releases — are still read.
+// noise (or worse, parsing successfully). A bare-JSON v1 file of
+// earlier releases is a CorruptHeader error.
 const (
-	FileFormat   = "scanatpg-checkpoint/v2"
-	fileFormatV1 = "scanatpg-checkpoint/v1"
+	FileFormat = "scanatpg-checkpoint/v2"
 
 	// formatPrefix is shared by every version; a file that starts with
 	// it but names an unknown version is a version error, not garbage.
 	formatPrefix = "scanatpg-checkpoint/"
 )
 
-// envelope is the JSON payload layout (shared by v1 and v2; in v2 it
-// sits behind the framing header).
+// envelope is the JSON payload layout behind the framing header.
 type envelope struct {
 	Format   string                     `json:"format"`
 	Sections map[string]json.RawMessage `json:"sections"`
@@ -102,13 +100,9 @@ func encodeEnvelope(sections map[string]json.RawMessage) ([]byte, error) {
 	return append([]byte(header), payload...), nil
 }
 
-// decodeEnvelope parses a checkpoint file in either format, verifying
-// v2 framing and checksum. Decode failures are *CorruptError.
+// decodeEnvelope parses a v2 checkpoint file, verifying its framing
+// and checksum. Decode failures are *CorruptError.
 func decodeEnvelope(path string, data []byte) (map[string]json.RawMessage, error) {
-	trimmed := bytes.TrimLeft(data, " \t\r\n")
-	if len(trimmed) > 0 && trimmed[0] == '{' {
-		return decodeV1(path, trimmed)
-	}
 	if !bytes.HasPrefix(data, []byte(formatPrefix)) {
 		if len(data) > 0 && bytes.HasPrefix([]byte(formatPrefix), data) {
 			// A prefix of the magic: the header itself was torn.
@@ -163,24 +157,6 @@ func decodeEnvelope(path string, data []byte) (map[string]json.RawMessage, error
 	if env.Format != FileFormat {
 		return nil, &CorruptError{Path: path, Kind: CorruptVersion,
 			Detail: fmt.Sprintf("payload format %q, want %q", env.Format, FileFormat)}
-	}
-	if env.Sections == nil {
-		env.Sections = make(map[string]json.RawMessage)
-	}
-	return env.Sections, nil
-}
-
-// decodeV1 reads the legacy bare-JSON envelope. It has no checksum —
-// corruption shows up only as JSON syntax or format-string errors.
-func decodeV1(path string, data []byte) (map[string]json.RawMessage, error) {
-	var env envelope
-	if err := json.Unmarshal(data, &env); err != nil {
-		return nil, &CorruptError{Path: path, Kind: CorruptSection,
-			Detail: fmt.Sprintf("invalid JSON: %v", err)}
-	}
-	if env.Format != fileFormatV1 {
-		return nil, &CorruptError{Path: path, Kind: CorruptVersion,
-			Detail: fmt.Sprintf("format %q, want %q or %q", env.Format, FileFormat, fileFormatV1)}
 	}
 	if env.Sections == nil {
 		env.Sections = make(map[string]json.RawMessage)

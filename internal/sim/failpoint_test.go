@@ -13,7 +13,7 @@ import (
 func TestInjectedBatchErrorFailsRun(t *testing.T) {
 	defer failpoint.Disable()
 	s, faults, seq := testCircuitAndSeq(t, "s298", 40)
-	if err := failpoint.Enable("sim.worker.batch=error@2", 1); err != nil {
+	if err := failpoint.Enable("sim.worker.batch=error@2"); err != nil {
 		t.Fatal(err)
 	}
 	ctl := &runctl.Control{}
@@ -37,7 +37,7 @@ func TestInjectedBatchErrorFailsRun(t *testing.T) {
 func TestInjectedBatchPanicBecomesPanicError(t *testing.T) {
 	defer failpoint.Disable()
 	s, faults, seq := testCircuitAndSeq(t, "s298", 40)
-	if err := failpoint.Enable("sim.worker.batch=panic@1", 1); err != nil {
+	if err := failpoint.Enable("sim.worker.batch=panic@1"); err != nil {
 		t.Fatal(err)
 	}
 	ctl := &runctl.Control{}

@@ -1,7 +1,6 @@
 package testprog
 
 import (
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -61,49 +60,6 @@ func TestSplitFlattenIdentityProperty(t *testing.T) {
 			pos += seg.Len()
 		}
 		return pos == len(seq)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Error(err)
-	}
-}
-
-// TestFormatParseIdentityProperty: the textual form round-trips for
-// random programs.
-func TestFormatParseIdentityProperty(t *testing.T) {
-	c, _ := circuits.Load("s27")
-	sc, _ := scan.Insert(c)
-	f := func(pattern uint16, fill uint64) bool {
-		rng := logic.NewRandFiller(fill ^ 0xBEEF)
-		var seq logic.Sequence
-		for i := 0; i < 12; i++ {
-			var v logic.Vector
-			if pattern&(1<<uint(i)) != 0 {
-				v = sc.ShiftVector(rng.Next())
-			} else {
-				v = sc.FunctionalVector(logic.NewVector(4))
-			}
-			for j := range v {
-				if v[j] == logic.X {
-					v[j] = rng.Next()
-				}
-			}
-			seq = append(seq, v)
-		}
-		p := Split(sc, seq)
-		q, err := Parse(strings.NewReader(p.Format()))
-		if err != nil {
-			return false
-		}
-		a, b := p.Flatten(), q.Flatten()
-		if len(a) != len(b) {
-			return false
-		}
-		for i := range a {
-			if a[i].String() != b[i].String() {
-				return false
-			}
-		}
-		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)

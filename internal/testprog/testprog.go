@@ -172,79 +172,3 @@ func (p *Program) Format() string {
 	}
 	return sb.String()
 }
-
-// Parse reads the textual program form back: NSV from the header
-// comment, and each segment's kind and Limited mark as written. Every
-// segment must hold exactly the vectors its header declares, and every
-// vector must have the width of the first; errors name the line.
-func Parse(r io.Reader) (*Program, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
-	p := &Program{}
-	var cur *Segment
-	want := 0
-	lineNo := 0
-	pos := 0
-	width := -1
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		if strings.HasPrefix(line, "#") {
-			var nsv int
-			if _, err := fmt.Sscanf(line, "# tester program, chain length %d", &nsv); err == nil {
-				p.NSV = nsv
-			}
-			continue
-		}
-		fields := strings.Fields(line)
-		switch fields[0] {
-		case "scan", "func":
-			if cur != nil && want != 0 {
-				return nil, fmt.Errorf("testprog: line %d: previous segment short by %d vectors", lineNo, want)
-			}
-			var n int
-			if len(fields) < 2 {
-				return nil, fmt.Errorf("testprog: line %d: missing segment length", lineNo)
-			}
-			if _, err := fmt.Sscanf(fields[1], "%d", &n); err != nil || n <= 0 {
-				return nil, fmt.Errorf("testprog: line %d: bad segment length %q", lineNo, fields[1])
-			}
-			seg := Segment{Start: pos}
-			if fields[0] == "scan" {
-				seg.Kind = ScanOp
-				seg.Limited = len(fields) > 2 && fields[2] == "limited"
-			}
-			p.Segments = append(p.Segments, seg)
-			cur = &p.Segments[len(p.Segments)-1]
-			want = n
-		default:
-			if cur == nil {
-				return nil, fmt.Errorf("testprog: line %d: vector outside a segment", lineNo)
-			}
-			if want == 0 {
-				return nil, fmt.Errorf("testprog: line %d: more vectors than the %d its segment declares", lineNo, cur.Len())
-			}
-			v, err := logic.ParseVector(line)
-			if err != nil {
-				return nil, fmt.Errorf("testprog: line %d: %v", lineNo, err)
-			}
-			if width >= 0 && len(v) != width {
-				return nil, fmt.Errorf("testprog: line %d: vector width %d differs from %d", lineNo, len(v), width)
-			}
-			width = len(v)
-			cur.Vectors = append(cur.Vectors, v)
-			want--
-			pos++
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if cur != nil && want != 0 {
-		return nil, fmt.Errorf("testprog: last segment short by %d vectors", want)
-	}
-	return p, nil
-}

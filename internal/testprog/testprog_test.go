@@ -1,7 +1,6 @@
 package testprog
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/circuits"
@@ -82,52 +81,30 @@ func TestFlattenRoundTrip(t *testing.T) {
 	}
 }
 
-func TestWriteParseRoundTrip(t *testing.T) {
+// TestFormatGolden pins the tester-program text of mixedSeq: the
+// header with the chain length, one "scan N limited|complete" or
+// "func N" line per segment, then the segment's vectors, scan_sel at
+// position 4.
+func TestFormatGolden(t *testing.T) {
 	sc := s27Scan(t)
-	p := Split(sc, mixedSeq(sc))
-	text := p.Format()
-	q, err := Parse(strings.NewReader(text))
-	if err != nil {
-		t.Fatalf("%v\n%s", err, text)
-	}
-	if q.NSV != p.NSV || len(q.Segments) != len(p.Segments) {
-		t.Fatalf("round trip changed structure")
-	}
-	for i := range p.Segments {
-		if q.Segments[i].Kind != p.Segments[i].Kind ||
-			q.Segments[i].Limited != p.Segments[i].Limited ||
-			q.Segments[i].Len() != p.Segments[i].Len() {
-			t.Errorf("segment %d changed", i)
-		}
-	}
-	a, b := p.Flatten(), q.Flatten()
-	for i := range a {
-		if a[i].String() != b[i].String() {
-			t.Fatalf("vector %d changed", i)
-		}
-	}
-}
-
-// parseErrorCases are malformed programs and a substring of the error
-// each must produce.
-var parseErrorCases = []struct{ text, want string }{
-	{"scan x\n", "line 1"},
-	{"01x\n", "line 1"},                       // vector outside a segment
-	{"func 2\n0101x0\n", "short by 1"},        // short segment
-	{"scan 1\nnotavec!\n", "line 2"},          // bad vector
-	{"scan 2 limited\n01x1\n011\n", "line 3"}, // vector widths differ
-	{"func 1\n01\n10\n", "line 3"},            // more vectors than declared
-	{"func 1\n01\n10\nscan 1\n11\n", "line 3"},
-}
-
-func TestParseErrors(t *testing.T) {
-	for _, tc := range parseErrorCases {
-		_, err := Parse(strings.NewReader(tc.text))
-		if err == nil {
-			t.Errorf("accepted %q", tc.text)
-		} else if !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%q: error %q does not mention %q", tc.text, err, tc.want)
-		}
+	const want = `# tester program, chain length 3
+func 1
+111101
+scan 2 limited
+111111
+111111
+func 2
+111101
+111101
+scan 3 complete
+111111
+111111
+111111
+func 1
+111101
+`
+	if got := Split(sc, mixedSeq(sc)).Format(); got != want {
+		t.Errorf("Format() =\n%s\nwant\n%s", got, want)
 	}
 }
 

@@ -104,7 +104,7 @@ func checkStoreSurvival(w *Workload) string {
 
 	// Leg 3: one transient injected sync failure must be retried away.
 	defer failpoint.Disable()
-	if err := failpoint.Enable("runctl.store.sync=error@1#1", w.Seed); err != nil {
+	if err := failpoint.Enable("runctl.store.sync=error@1"); err != nil {
 		return fmt.Sprintf("store/transient: arm failpoint: %v", err)
 	}
 	tpath := filepath.Join(dir, "transient.ckpt")
